@@ -53,6 +53,7 @@
 //! size that divides neither the batch nor the trace.
 
 use std::fmt;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -262,6 +263,10 @@ pub fn check_batched_parity(
 /// trace longer than 37 events) never divide the trace.
 const STREAM_CHUNK_EVENTS: u32 = 37;
 
+/// Per-process sequence number for stream-parity temp files, so oracle
+/// runs on concurrent threads never share (and overwrite) a file.
+static STREAM_FILE_SEQ: AtomicU64 = AtomicU64::new(0);
+
 /// Tier 6: **stream parity** — replaying the trace from a `DMNOTRC1`
 /// file through the double-buffered [`FileSource`] must be byte-for-byte
 /// identical to the cached-slice engines, for both the raw and the
@@ -277,8 +282,9 @@ pub fn check_stream_parity(sys: System, trace: &[AccessEvent]) -> Result<(), Vio
     let dir = std::env::temp_dir();
     for codec in [Codec::Raw, Codec::Sequitur] {
         let path = dir.join(format!(
-            "domino-check-stream-{}-{}-{}.dmno",
+            "domino-check-stream-{}-{}-{}-{}.dmno",
             std::process::id(),
+            STREAM_FILE_SEQ.fetch_add(1, Ordering::Relaxed),
             label.replace([' ', '/'], "_"),
             codec.label()
         ));

@@ -11,6 +11,8 @@
 //! The models are deliberately slow (linear everything); they exist to
 //! be read and believed, not to be fast.
 
+use std::collections::BTreeMap;
+
 use domino::eit::EitEntry;
 use domino_mem::cache::{CacheConfig, Replacement};
 use domino_mem::interface::{TriggerEvent, TriggerKind};
@@ -32,10 +34,12 @@ struct RefSuper {
 ///
 /// Mirrors `domino::eit::Eit` with a finite row count; the row hash is
 /// the same multiplicative hash, so a given tag lands in the same row
-/// in both implementations.
+/// in both implementations. Rows live in an ordered map and appear on
+/// first write, so a 2 M-row model costs nothing up front.
 #[derive(Debug, Clone)]
 pub struct ReferenceEit {
-    rows: Vec<Vec<RefSuper>>,
+    rows: usize,
+    table: BTreeMap<usize, Vec<RefSuper>>,
     super_cap: usize,
     entry_cap: usize,
 }
@@ -50,7 +54,8 @@ impl ReferenceEit {
     pub fn new(rows: usize, super_cap: usize, entry_cap: usize) -> Self {
         assert!(rows > 0 && super_cap > 0 && entry_cap > 0, "degenerate EIT");
         ReferenceEit {
-            rows: vec![Vec::new(); rows],
+            rows,
+            table: BTreeMap::new(),
             super_cap,
             entry_cap,
         }
@@ -59,14 +64,14 @@ impl ReferenceEit {
     /// The production row hash (multiplicative), verbatim.
     fn row_index(&self, tag: LineAddr) -> usize {
         let h = tag.raw().wrapping_mul(0x9e37_79b9_7f4a_7c15);
-        (h % self.rows.len() as u64) as usize
+        (h % self.rows as u64) as usize
     }
 
     /// Looks up `tag`, promoting its super-entry to MRU. Returns the
     /// entries oldest-first (a clone; the model is not hot-path code).
     pub fn lookup(&mut self, tag: LineAddr) -> Option<Vec<EitEntry>> {
         let r = self.row_index(tag);
-        let row = &mut self.rows[r];
+        let row = self.table.get_mut(&r)?;
         let pos = row.iter().position(|se| se.tag == tag)?;
         let se = row.remove(pos);
         row.push(se);
@@ -76,7 +81,9 @@ impl ReferenceEit {
     /// Side-effect-free membership probe.
     pub fn probe(&self, tag: LineAddr) -> bool {
         let r = self.row_index(tag);
-        self.rows[r].iter().any(|se| se.tag == tag)
+        self.table
+            .get(&r)
+            .is_some_and(|row| row.iter().any(|se| se.tag == tag))
     }
 
     /// Records `tag → (next, pointer)` with LRU at both levels; returns
@@ -85,7 +92,7 @@ impl ReferenceEit {
         let r = self.row_index(tag);
         let super_cap = self.super_cap;
         let entry_cap = self.entry_cap;
-        let row = &mut self.rows[r];
+        let row = self.table.entry(r).or_default();
         let mut evicted = None;
         match row.iter().position(|se| se.tag == tag) {
             Some(pos) => {

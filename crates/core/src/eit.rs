@@ -19,7 +19,6 @@
 //! "the most recent entry of 'A'").
 
 use domino_trace::addr::LineAddr;
-use domino_trace::FxHashMap;
 
 /// One `(address, pointer)` pair: `address` followed the tag in the miss
 /// stream, `pointer` is the History Table position of that `address`
@@ -32,64 +31,9 @@ pub struct EitEntry {
     pub pointer: u64,
 }
 
-/// A tag plus its recent continuations, most recent last.
-///
-/// Only the unbounded (idealized) backing stores owned `SuperEntry`
-/// values; the finite backing keeps the same data in a flat slab and
-/// hands out [`SuperEntryRef`] views instead.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SuperEntry {
-    /// The indexed miss address.
-    pub tag: LineAddr,
-    /// LRU list of continuations: front = oldest, back = most recent.
-    entries: Vec<EitEntry>,
-}
-
-impl SuperEntry {
-    fn new(tag: LineAddr, capacity: usize) -> Self {
-        SuperEntry {
-            tag,
-            entries: Vec::with_capacity(capacity),
-        }
-    }
-
-    /// The most recent continuation — Domino's immediate prediction.
-    pub fn most_recent(&self) -> Option<&EitEntry> {
-        self.entries.last()
-    }
-
-    /// Finds the entry whose address matches the next triggering event
-    /// (the two-address lookup).
-    pub fn find(&self, addr: LineAddr) -> Option<&EitEntry> {
-        self.entries.iter().rev().find(|e| e.addr == addr)
-    }
-
-    /// All entries, oldest first (analysis/tests).
-    pub fn entries(&self) -> &[EitEntry] {
-        &self.entries
-    }
-
-    /// Inserts or refreshes the continuation `(addr, pointer)` with LRU
-    /// replacement bounded by `capacity`.
-    fn update(&mut self, addr: LineAddr, pointer: u64, capacity: usize) {
-        if let Some(pos) = self.entries.iter().position(|e| e.addr == addr) {
-            let mut e = self.entries.remove(pos);
-            e.pointer = pointer;
-            self.entries.push(e);
-            return;
-        }
-        if self.entries.len() == capacity {
-            self.entries.remove(0);
-        }
-        self.entries.push(EitEntry { addr, pointer });
-    }
-}
-
-/// A borrowed view of one super-entry, as returned by [`Eit::lookup`].
-///
-/// Exposes the same reading surface as [`SuperEntry`] (`most_recent`,
-/// `find`, `entries`) over either backing without copying the entries
-/// out of the table.
+/// A borrowed view of one super-entry — a tag plus its recent
+/// continuations, oldest first — as returned by [`Eit::lookup`]. The
+/// entries stay in the table's slab; nothing is copied out.
 #[derive(Debug, Clone, Copy)]
 pub struct SuperEntryRef<'a> {
     /// The indexed miss address.
@@ -157,19 +101,95 @@ impl EitConfig {
     }
 }
 
-#[derive(Debug)]
-enum Backing {
-    /// Finite row array backed by a flat slab (see [`FiniteRows`]).
-    Finite(FiniteRows),
-    /// Idealized: one super-entry per tag, no row conflicts.
-    Unbounded(FxHashMap<LineAddr, SuperEntry>),
-}
-
-/// Sentinel for a row that has never been written.
+/// Empty-slot marker in [`RowIndex`]; `Rows::block_for` never hands
+/// out this block id.
 const NO_BLOCK: u32 = u32::MAX;
 
-/// The finite backing: rows index into a lazily-grown slab of
-/// super-entry blocks instead of nesting `Vec<Vec<SuperEntry>>`.
+/// Fibonacci multiplier shared by the row hash and the index hash.
+const HASH_MUL: u64 = 0x9e37_79b9_7f4a_7c15;
+
+/// Slot count the index starts at on its first insert.
+const MIN_INDEX_SLOTS: usize = 16;
+
+/// Sparse row → block map: open addressing with linear probing over a
+/// power-of-two slot array, a multiplicative hash, and doubling at ½
+/// load. Only rows that have been written occupy a slot, so memory
+/// follows the touched working set, never the configured row count,
+/// and a fresh index allocates nothing.
+#[derive(Debug, Default)]
+struct RowIndex {
+    /// `(row key, block)` pairs; a block of [`NO_BLOCK`] marks a free
+    /// slot.
+    slots: Vec<(u64, u32)>,
+    /// Occupied slots.
+    len: usize,
+    /// `64 - log2(slots.len())`: the hash keeps the product's top bits.
+    shift: u32,
+}
+
+impl RowIndex {
+    fn home(&self, key: u64) -> usize {
+        (key.wrapping_mul(HASH_MUL) >> self.shift) as usize
+    }
+
+    /// The slot holding `key`, or the free slot where it would go.
+    /// Requires a non-empty slot array (the ½ load cap keeps a free
+    /// slot on every probe path).
+    fn find(&self, key: u64) -> usize {
+        let mask = self.slots.len() - 1;
+        let mut i = self.home(key);
+        loop {
+            let (k, b) = self.slots[i];
+            if b == NO_BLOCK || k == key {
+                return i;
+            }
+            i = (i + 1) & mask;
+        }
+    }
+
+    fn get(&self, key: u64) -> Option<u32> {
+        if self.slots.is_empty() {
+            return None;
+        }
+        let (_, b) = self.slots[self.find(key)];
+        (b != NO_BLOCK).then_some(b)
+    }
+
+    /// Maps `key`, which must be absent, to `block`.
+    fn insert(&mut self, key: u64, block: u32) {
+        if (self.len + 1) * 2 > self.slots.len() {
+            self.grow();
+        }
+        let i = self.find(key);
+        self.slots[i] = (key, block);
+        self.len += 1;
+    }
+
+    fn grow(&mut self) {
+        let cap = (self.slots.len() * 2).max(MIN_INDEX_SLOTS);
+        let old = std::mem::replace(&mut self.slots, vec![(0, NO_BLOCK); cap]);
+        self.shift = 64 - cap.trailing_zeros();
+        for (k, b) in old {
+            if b != NO_BLOCK {
+                let i = self.find(k);
+                self.slots[i] = (k, b);
+            }
+        }
+    }
+
+    fn footprint_bytes(&self) -> usize {
+        self.slots.len() * std::mem::size_of::<(u64, u32)>()
+    }
+}
+
+/// The table's one backing: row keys map through a sparse [`RowIndex`]
+/// into a lazily-grown slab of super-entry blocks instead of nesting
+/// `Vec<Vec<_>>`.
+///
+/// A finite table keys each tag by its hashed row, so up to `super_cap`
+/// tags share a block and evict LRU. The unbounded table keys each tag
+/// by itself with one super-entry per block: every row holds exactly
+/// one tag, so no tag is ever evicted.
 ///
 /// Each touched row owns one *block* of `super_cap` super-entry slots
 /// at a fixed stride; a slot is a tag, an entry count, and `entry_cap`
@@ -179,14 +199,16 @@ const NO_BLOCK: u32 = u32::MAX;
 /// memory — one cache-line-friendly run per lookup, the same locality
 /// argument the paper makes for packing super-entries in DRAM rows.
 ///
-/// Blocks are carved on first touch only (`row_block` starts as
-/// [`NO_BLOCK`]), so a 2 M-row table costs 8 MB up front instead of
-/// ~100 MB of empty `Vec` headers, and once the working set of rows is
-/// warm the table performs no further heap allocation.
+/// Blocks and index slots are carved on first touch only, so an empty
+/// table allocates nothing — however many rows it models — and once
+/// the working set of rows is warm the table performs no further heap
+/// allocation.
 #[derive(Debug)]
-struct FiniteRows {
-    /// Row → block id, or [`NO_BLOCK`] while the row is untouched.
-    row_block: Vec<u32>,
+struct Rows {
+    /// Modelled row count; `0` keys rows by tag (unbounded).
+    rows: usize,
+    /// Row key → block id.
+    index: RowIndex,
     /// Per-block count of occupied super-entry slots.
     occ: Vec<u8>,
     /// Super-entry tags; block `b` owns `[b*super_cap, (b+1)*super_cap)`,
@@ -202,12 +224,19 @@ struct FiniteRows {
     entry_cap: usize,
 }
 
-impl FiniteRows {
-    fn new(rows: usize, super_cap: usize, entry_cap: usize) -> Self {
+impl Rows {
+    fn new(cfg: &EitConfig) -> Self {
+        let super_cap = if cfg.rows == 0 {
+            1
+        } else {
+            cfg.super_entries_per_row
+        };
+        let entry_cap = cfg.entries_per_super;
         assert!(super_cap <= u8::MAX as usize, "row capacity too large");
         assert!(entry_cap <= u8::MAX as usize, "entry capacity too large");
-        FiniteRows {
-            row_block: vec![NO_BLOCK; rows],
+        Rows {
+            rows: cfg.rows,
+            index: RowIndex::default(),
             occ: Vec::new(),
             tags: Vec::new(),
             lens: Vec::new(),
@@ -217,13 +246,32 @@ impl FiniteRows {
         }
     }
 
-    /// The block for `row`, carving a fresh one on first touch.
-    fn block_for(&mut self, row: usize) -> usize {
-        let cur = self.row_block[row];
-        if cur != NO_BLOCK {
-            return cur as usize;
+    /// The index key of `tag`'s row: the multiplicative row hash, or
+    /// the tag itself when the table is unbounded.
+    fn row_key(&self, tag: LineAddr) -> u64 {
+        if self.rows == 0 {
+            tag.raw()
+        } else {
+            tag.raw().wrapping_mul(HASH_MUL) % self.rows as u64
+        }
+    }
+
+    /// The block and occupied-prefix length of `tag`'s row, if the row
+    /// has been written.
+    fn block_of(&self, tag: LineAddr) -> Option<(usize, usize)> {
+        let b = self.index.get(self.row_key(tag))? as usize;
+        Some((b, self.occ[b] as usize))
+    }
+
+    /// The block for `tag`'s row, carving a fresh one on first touch.
+    fn block_for(&mut self, tag: LineAddr) -> usize {
+        let key = self.row_key(tag);
+        if let Some(b) = self.index.get(key) {
+            return b as usize;
         }
         let b = self.occ.len();
+        assert!(b < NO_BLOCK as usize, "EIT block ids exhausted");
+        self.index.insert(key, b as u32);
         self.occ.push(0);
         let filler = LineAddr::default();
         self.tags.resize(self.tags.len() + self.super_cap, filler);
@@ -234,7 +282,6 @@ impl FiniteRows {
         };
         self.entries
             .resize(self.entries.len() + self.super_cap * self.entry_cap, empty);
-        self.row_block[row] = b as u32;
         b
     }
 
@@ -250,14 +297,8 @@ impl FiniteRows {
     }
 
     fn lookup(&mut self, tag: LineAddr) -> Option<SuperEntryRef<'_>> {
-        let row = row_index(tag, self.row_block.len());
-        let block = self.row_block[row];
-        if block == NO_BLOCK {
-            return None;
-        }
-        let b = block as usize;
+        let (b, occ) = self.block_of(tag)?;
         let base = b * self.super_cap;
-        let occ = self.occ[b] as usize;
         let pos = self.tags[base..base + occ].iter().position(|&t| t == tag)?;
         self.promote(b, pos, occ);
         let slot = occ - 1;
@@ -270,21 +311,16 @@ impl FiniteRows {
     }
 
     fn probe(&self, tag: LineAddr) -> bool {
-        let row = row_index(tag, self.row_block.len());
-        let block = self.row_block[row];
-        if block == NO_BLOCK {
-            return false;
-        }
-        let base = block as usize * self.super_cap;
-        let occ = self.occ[block as usize] as usize;
-        self.tags[base..base + occ].contains(&tag)
+        self.block_of(tag).is_some_and(|(b, occ)| {
+            let base = b * self.super_cap;
+            self.tags[base..base + occ].contains(&tag)
+        })
     }
 
     /// Records `tag → (next, pointer)`; both LRU levels behave exactly
     /// like the nested-`Vec` layout. Returns an evicted tag, if any.
     fn update(&mut self, tag: LineAddr, next: LineAddr, pointer: u64) -> Option<LineAddr> {
-        let row = row_index(tag, self.row_block.len());
-        let b = self.block_for(row);
+        let b = self.block_for(tag);
         let s = self.super_cap;
         let base = b * s;
         let occ = self.occ[b] as usize;
@@ -341,12 +377,16 @@ impl FiniteRows {
         }
         evicted
     }
-}
 
-/// Multiplicative hash mapping a tag to a row.
-fn row_index(tag: LineAddr, rows: usize) -> usize {
-    let h = tag.raw().wrapping_mul(0x9e37_79b9_7f4a_7c15);
-    (h % rows as u64) as usize
+    /// Index slots plus the slab lengths, in bytes.
+    fn footprint_bytes(&self) -> usize {
+        use std::mem::size_of;
+        self.index.footprint_bytes()
+            + self.occ.len()
+            + self.tags.len() * size_of::<LineAddr>()
+            + self.lens.len()
+            + self.entries.len() * size_of::<EitEntry>()
+    }
 }
 
 /// The Enhanced Index Table.
@@ -364,32 +404,24 @@ fn row_index(tag: LineAddr, rows: usize) -> usize {
 #[derive(Debug)]
 pub struct Eit {
     cfg: EitConfig,
-    backing: Backing,
+    rows: Rows,
     updates: u64,
     lookups: u64,
     hits: u64,
 }
 
 impl Eit {
-    /// Creates an empty EIT.
+    /// Creates an empty EIT. Allocates nothing: rows are materialized
+    /// as they are first written.
     ///
     /// # Panics
     ///
     /// Panics if `cfg` is degenerate (see [`EitConfig::validate`]).
     pub fn new(cfg: EitConfig) -> Self {
         cfg.validate();
-        let backing = if cfg.rows == 0 {
-            Backing::Unbounded(FxHashMap::default())
-        } else {
-            Backing::Finite(FiniteRows::new(
-                cfg.rows,
-                cfg.super_entries_per_row,
-                cfg.entries_per_super,
-            ))
-        };
         Eit {
+            rows: Rows::new(&cfg),
             cfg,
-            backing,
             updates: 0,
             lookups: 0,
             hits: 0,
@@ -400,13 +432,7 @@ impl Eit {
     /// real design) and promotes it to MRU within its row.
     pub fn lookup(&mut self, tag: LineAddr) -> Option<SuperEntryRef<'_>> {
         self.lookups += 1;
-        let found: Option<SuperEntryRef<'_>> = match &mut self.backing {
-            Backing::Unbounded(map) => map.get(&tag).map(|se| SuperEntryRef {
-                tag: se.tag,
-                entries: se.entries(),
-            }),
-            Backing::Finite(rows) => rows.lookup(tag),
-        };
+        let found = self.rows.lookup(tag);
         if found.is_some() {
             self.hits += 1;
         }
@@ -418,50 +444,25 @@ impl Eit {
     /// bumps counters, so observability code (the flight recorder's
     /// metadata probe) can call it without perturbing results.
     pub fn probe(&self, tag: LineAddr) -> bool {
-        match &self.backing {
-            Backing::Unbounded(map) => map.contains_key(&tag),
-            Backing::Finite(rows) => rows.probe(tag),
-        }
+        self.rows.probe(tag)
     }
 
     /// Records that `tag` was followed by `next`, whose History Table
     /// position is `pointer`. Allocates super-entries/entries LRU as the
     /// paper describes (§III-B, "Recording"). Returns the tag of a
-    /// super-entry evicted by capacity pressure, if any (never on the
-    /// unbounded backing) — the flight recorder logs it as metadata loss.
+    /// super-entry evicted by capacity pressure, if any (never on an
+    /// unbounded table) — the flight recorder logs it as metadata loss.
     pub fn update(&mut self, tag: LineAddr, next: LineAddr, pointer: u64) -> Option<LineAddr> {
         self.updates += 1;
-        let entry_cap = self.cfg.entries_per_super;
-        match &mut self.backing {
-            Backing::Unbounded(map) => {
-                map.entry(tag)
-                    .or_insert_with(|| SuperEntry::new(tag, entry_cap))
-                    .update(next, pointer, entry_cap);
-                None
-            }
-            Backing::Finite(rows) => rows.update(tag, next, pointer),
-        }
+        self.rows.update(tag, next, pointer)
     }
 
-    /// Approximate bytes of backing storage currently allocated. O(1):
-    /// computed from the slab lengths (finite backing) or entry counts
-    /// (unbounded), never by walking entries — the metadata service
-    /// polls this after every request batch for its memory budgets.
+    /// Bytes of backing storage currently allocated: the row index's
+    /// slot array plus the slabs. O(1), never a walk over entries — the
+    /// metadata service polls this after every request batch for its
+    /// memory budgets.
     pub fn footprint_bytes(&self) -> usize {
-        use std::mem::size_of;
-        match &self.backing {
-            Backing::Finite(rows) => {
-                rows.row_block.len() * size_of::<u32>()
-                    + rows.occ.len()
-                    + rows.tags.len() * size_of::<LineAddr>()
-                    + rows.lens.len()
-                    + rows.entries.len() * size_of::<EitEntry>()
-            }
-            Backing::Unbounded(map) => {
-                map.len()
-                    * (size_of::<SuperEntry>() + self.cfg.entries_per_super * size_of::<EitEntry>())
-            }
-        }
+        self.rows.footprint_bytes()
     }
 
     /// `(lookups, hits, updates)` counters.
@@ -591,6 +592,21 @@ mod tests {
         for i in 0..10_000u64 {
             assert!(eit.lookup(line(i)).is_some(), "tag {i} lost");
         }
+    }
+
+    #[test]
+    fn footprint_is_index_slots_plus_slabs() {
+        let mut eit = Eit::new(EitConfig::default());
+        assert_eq!(eit.footprint_bytes(), 0);
+        eit.update(line(1), line(2), 0);
+        // 16 index slots of (key, block), then one block: occupancy,
+        // 4 tags, 4 entry counts, 4 × 3 entries.
+        let slot = std::mem::size_of::<(u64, u32)>();
+        let block = 1 + 4 * 8 + 4 + 12 * std::mem::size_of::<EitEntry>();
+        assert_eq!(eit.footprint_bytes(), 16 * slot + block);
+        // A second row in the same index costs one more block only.
+        eit.update(line(3), line(4), 1);
+        assert_eq!(eit.footprint_bytes(), 16 * slot + 2 * block);
     }
 
     #[test]

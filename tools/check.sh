@@ -56,6 +56,10 @@ if [ "${1:-}" != "--fast" ]; then
     echo "==> cargo test"
     cargo test --workspace -q
 
+    mark test-threads
+    echo "==> cargo test with 4 test threads (surfaces races on 1-core hosts)"
+    RUST_TEST_THREADS=4 cargo test --workspace -q
+
     mark telemetry-smoke
     echo "==> telemetry schema smoke run"
     smoke_dir=$(mktemp -d)
