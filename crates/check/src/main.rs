@@ -4,7 +4,7 @@
 //! domino-check [--seed N] [--cases N] [--events N] [--out DIR] [--systems A,B]
 //! domino-check --list-systems
 //! domino-check --smoke [--out DIR]
-//! domino-check --batch-parity [--seed N] [--events N] [--out DIR] [--systems A,B]
+//! domino-check --session-partition [--seed N] [--events N] [--out DIR] [--systems A,B]
 //! domino-check --stream-parity [--seed N] [--events N] [--out DIR] [--systems A,B]
 //! domino-check --replay <file.events>
 //! domino-check --force-fail [--out DIR]
@@ -33,12 +33,12 @@ use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
 use domino_check::oracle::{
-    check_batched_parity, check_reference_models, check_stream_parity, check_system_trace,
-    Violation, CHECKED_BATCHES,
+    check_reference_models, check_session_partition, check_stream_parity, check_system_trace,
+    Violation, PARTITION_STEPS,
 };
 use domino_check::repro::Reproducer;
 use domino_check::selftest::run_self_test;
-use domino_check::shrink::{shrink, shrink_aligned};
+use domino_check::shrink::shrink;
 use domino_check::Generator;
 use domino_sim::roster::System;
 use domino_trace::event::AccessEvent;
@@ -64,7 +64,7 @@ fn usage() -> ExitCode {
          [--out DIR] [--systems A,B,..]\n\
          \x20      domino-check --list-systems\n\
          \x20      domino-check --smoke [--out DIR]\n\
-         \x20      domino-check --batch-parity [--seed N] [--events N] \
+         \x20      domino-check --session-partition [--seed N] [--events N] \
          [--out DIR] [--systems A,B,..]\n\
          \x20      domino-check --stream-parity [--seed N] [--events N] \
          [--out DIR] [--systems A,B,..]\n\
@@ -85,7 +85,7 @@ fn main() -> ExitCode {
         systems: System::all(),
     };
     let mut smoke = false;
-    let mut batch_parity = false;
+    let mut session_partition = false;
     let mut stream_parity = false;
     let mut force_fail = false;
     let mut self_test = false;
@@ -100,7 +100,7 @@ fn main() -> ExitCode {
                 return ExitCode::SUCCESS;
             }
             "--smoke" => smoke = true,
-            "--batch-parity" => batch_parity = true,
+            "--session-partition" => session_partition = true,
             "--stream-parity" => stream_parity = true,
             "--force-fail" => force_fail = true,
             "--self-test" => self_test = true,
@@ -169,11 +169,21 @@ fn main() -> ExitCode {
     if force_fail {
         return run_force_fail(&opts);
     }
-    if batch_parity {
-        return run_batch_parity(&opts);
+    if session_partition {
+        return run_one_oracle(
+            &opts,
+            check_session_partition,
+            &format!("{PARTITION_STEPS:?}-event and whole-trace increments"),
+            "session partition clean: every increment byte-identical to the whole-trace run",
+        );
     }
     if stream_parity {
-        return run_stream_parity(&opts);
+        return run_one_oracle(
+            &opts,
+            check_stream_parity,
+            "{raw, sequitur}",
+            "stream parity clean: file-backed and cached byte-identical",
+        );
     }
     run_campaign(&opts)
 }
@@ -247,76 +257,44 @@ fn run_campaign(opts: &Options) -> ExitCode {
     ExitCode::SUCCESS
 }
 
-/// `--batch-parity`: only the batched-vs-scalar oracle, run for every
-/// generator x system at each checked batch size. The fast CI stage
-/// wired into `tools/check.sh`.
-fn run_batch_parity(opts: &Options) -> ExitCode {
+/// `--session-partition` and `--stream-parity`: one oracle only, run
+/// for every generator x selected system — the fast CI stages wired
+/// into `tools/check.sh`. `--session-partition` feeds both engines in
+/// every checked increment, cached and streamed; `--stream-parity`
+/// replays `DMNOTRC1` files (raw and Sequitur-compressed) through both
+/// engines against the cached-slice runs.
+fn run_one_oracle(
+    opts: &Options,
+    check: fn(System, &[AccessEvent]) -> Result<(), Violation>,
+    what: &str,
+    clean: &str,
+) -> ExitCode {
     let mut done = 0u64;
     for g in Generator::all() {
         let trace = g.generate(opts.seed, opts.events);
         for sys in &opts.systems {
-            for batch in CHECKED_BATCHES {
-                if let Err(violation) = check_batched_parity(*sys, &trace, batch) {
-                    let system = sys.label();
-                    eprintln!(
-                        "FAIL {} seed {:#x} system {system} batch {batch}",
-                        g.name(),
-                        opts.seed
-                    );
-                    eprintln!("  {violation}");
-                    let fails = |t: &[AccessEvent]| check_batched_parity(*sys, t, batch).is_err();
-                    return fail_and_shrink(opts, g, opts.seed, &system, &violation, &trace, fails);
-                }
-            }
-            done += 1;
-        }
-        println!(
-            "ok {} ({} events, {} systems x {:?} batches)",
-            g.name(),
-            trace.len(),
-            opts.systems.len(),
-            CHECKED_BATCHES
-        );
-    }
-    println!("batch parity clean: {done} system-traces, scalar and batched byte-identical");
-    ExitCode::SUCCESS
-}
-
-/// `--stream-parity`: only the streamed-vs-cached oracle, run for every
-/// generator x selected system. Every roster system replays `DMNOTRC1`
-/// files (raw and Sequitur-compressed) through both engines and must be
-/// byte-identical to the cached-slice runs. The ingest CI stage wired
-/// into `tools/check.sh`.
-fn run_stream_parity(opts: &Options) -> ExitCode {
-    let mut done = 0u64;
-    for g in Generator::all() {
-        let trace = g.generate(opts.seed, opts.events);
-        for sys in &opts.systems {
-            if let Err(violation) = check_stream_parity(*sys, &trace) {
+            if let Err(violation) = check(*sys, &trace) {
                 let system = sys.label();
                 eprintln!("FAIL {} seed {:#x} system {system}", g.name(), opts.seed);
                 eprintln!("  {violation}");
-                let fails = |t: &[AccessEvent]| check_stream_parity(*sys, t).is_err();
+                let fails = |t: &[AccessEvent]| check(*sys, t).is_err();
                 return fail_and_shrink(opts, g, opts.seed, &system, &violation, &trace, fails);
             }
             done += 1;
         }
         println!(
-            "ok {} ({} events, {} systems x {{raw, sequitur}} x {:?} batches)",
+            "ok {} ({} events, {} systems x {what})",
             g.name(),
             trace.len(),
             opts.systems.len(),
-            CHECKED_BATCHES
         );
     }
-    println!("stream parity clean: {done} system-traces, file-backed and cached byte-identical");
+    println!("{clean} ({done} system-traces)");
     ExitCode::SUCCESS
 }
 
 /// Shrinks the failing trace against "the same oracle still fires" and
-/// writes the `DMNOCHK1` reproducer. Batch-sensitive violations shrink
-/// with cuts aligned to the failing batch size, so every surviving
-/// event keeps its position within its chunk.
+/// writes the `DMNOCHK1` reproducer.
 fn fail_and_shrink(
     opts: &Options,
     g: Generator,
@@ -326,16 +304,14 @@ fn fail_and_shrink(
     trace: &[AccessEvent],
     fails: impl FnMut(&[AccessEvent]) -> bool,
 ) -> ExitCode {
-    let align = violation.batch.unwrap_or(1) as usize;
-    eprintln!("shrinking {} events (alignment {align}) ...", trace.len());
-    let small = shrink_aligned(trace, fails, SHRINK_BUDGET, align);
+    eprintln!("shrinking {} events ...", trace.len());
+    let small = shrink(trace, fails, SHRINK_BUDGET);
     eprintln!("shrunk to {} events", small.len());
     let repro = Reproducer {
         system: system.to_string(),
         oracle: violation.oracle.to_string(),
         generator: g.name().to_string(),
         seed,
-        batch: violation.batch,
         events: small,
     };
     match write_repro(&opts.out, &repro) {
@@ -404,20 +380,6 @@ fn run_replay(file: &Path) -> ExitCode {
         );
         return ExitCode::FAILURE;
     };
-    // A recorded batch pins the chunking that manifested the failure:
-    // rerun the parity differential at exactly that size first, so the
-    // replay reproduces under the same batch geometry it was caught in.
-    if let Some(batch) = repro.batch {
-        match check_batched_parity(sys, &repro.events, batch) {
-            Err(v) => {
-                eprintln!("reproduced: {v}");
-                return ExitCode::FAILURE;
-            }
-            Ok(()) => {
-                println!("batch-{batch} parity quiet; rerunning the full oracle stack");
-            }
-        }
-    }
     match check_reference_models(&repro.events)
         .and_then(|()| check_system_trace(sys, &repro.events))
     {
@@ -462,7 +424,6 @@ fn run_force_fail(opts: &Options) -> ExitCode {
         oracle: FORCED_ORACLE.to_string(),
         generator: Generator::Irregular.name().to_string(),
         seed: opts.seed,
-        batch: None,
         events: small,
     };
     let path = match write_repro(&opts.out, &repro) {

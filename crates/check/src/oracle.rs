@@ -1,13 +1,15 @@
 //! The three oracle tiers.
 //!
-//! Tier 1 opens with the **batched-vs-scalar differential**: the SoA
-//! batched hot path must produce byte-for-byte the same coverage,
-//! timing, and multicore reports as the scalar per-event loop, at every
-//! checked batch size and across warmup boundaries that do not divide
-//! the batch. Then the **cross-engine differential**: the
-//! coverage and timing engines evolve the L1, the prefetch buffer, and
-//! the prefetcher through *identical* sequences — only the clock
-//! differs — so wherever their metrics overlap they must agree exactly:
+//! Tier 1 opens with **session partition** ([`check_session_partition`]):
+//! each engine has one per-event loop, and feeding it the trace in
+//! 1-, 7-, 64-event or whole-trace increments — from the cached slice
+//! or from a streaming source — must give byte-identical reports and
+//! decision digests, at warmup 0 and at a third of the trace (so the
+//! increments straddle the warmup boundary). Then the **cross-engine
+//! differential**: the coverage and timing engines evolve the L1, the
+//! prefetch buffer, and the prefetcher through *identical* sequences —
+//! only the clock differs — so wherever their metrics overlap they must
+//! agree exactly:
 //! demand-miss counts, covered misses, metadata traffic, and the final
 //! `knows_line` metadata state. A one-core multicore run must further be
 //! bit-identical to the single-core timing engine.
@@ -49,8 +51,8 @@
 //! written to `DMNOTRC1` files (raw and Sequitur-compressed) and
 //! replayed through the double-buffered file source into both engines;
 //! reports and decision digests must be byte-identical to the
-//! cached-slice runs at every checked batch size, with a file chunk
-//! size that divides neither the batch nor the trace.
+//! cached-slice runs, with a prime file chunk size (37 events) and a
+//! warmup at a third of the trace.
 
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -67,16 +69,16 @@ use domino_service::{BatchRequest, MetadataService, ObsConfig, OverloadPolicy, S
 use domino_sim::config::SystemConfig;
 use domino_sim::engine::{
     run_coverage, run_coverage_observed, run_coverage_session, run_coverage_streamed,
-    run_coverage_streamed_session, run_coverage_with_batch,
+    run_coverage_streamed_session, run_coverage_warmed, CoverageSession,
 };
-use domino_sim::multicore::{run_multicore, run_multicore_with_batch};
+use domino_sim::multicore::run_multicore;
 use domino_sim::roster::System;
-use domino_sim::timing::{run_timing, run_timing_streamed, run_timing_with_batch};
+use domino_sim::timing::{run_timing, run_timing_streamed, run_timing_warmed};
 use domino_telemetry::trace::{TraceFile, TraceMeta};
 use domino_telemetry::{RingFile, SpanFile, SpanSampler, Telemetry};
 use domino_trace::addr::{LineAddr, LINE_BYTES};
 use domino_trace::event::AccessEvent;
-use domino_trace::stream::{write_trace_file, Codec, FileSource};
+use domino_trace::stream::{write_trace_file, Codec, FileSource, SliceSource};
 
 use crate::reference::{
     RefTriangelParams, ReferenceBuffer, ReferenceCache, ReferenceEit, ReferenceMshr,
@@ -97,28 +99,16 @@ pub struct Violation {
     pub oracle: &'static str,
     /// Human-readable mismatch description.
     pub detail: String,
-    /// Batch size under which the violation manifested, if the failing
-    /// oracle is batch-sensitive. Recorded in the reproducer so replay
-    /// and shrinking rerun under the exact same chunking.
-    pub batch: Option<u32>,
 }
 
 impl fmt::Display for Violation {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "[{}] {}", self.oracle, self.detail)?;
-        if let Some(b) = self.batch {
-            write!(f, " (batch {b})")?;
-        }
-        Ok(())
+        write!(f, "[{}] {}", self.oracle, self.detail)
     }
 }
 
 fn violation(oracle: &'static str, detail: String) -> Violation {
-    Violation {
-        oracle,
-        detail,
-        batch: None,
-    }
+    Violation { oracle, detail }
 }
 
 macro_rules! ensure_eq {
@@ -133,19 +123,19 @@ macro_rules! ensure_eq {
     }};
 }
 
-/// Batch sizes the batched-vs-scalar oracle exercises: one that is not
-/// a divisor of anything interesting (odd, smaller than most traces)
-/// and the production default.
-pub const CHECKED_BATCHES: [u32; 2] = [7, 64];
+/// Increments the session-partition oracle feeds the engines in
+/// (besides the whole trace): single events, a prime that divides
+/// nothing of interest, and a power of two.
+pub const PARTITION_STEPS: [usize; 3] = [1, 7, 64];
 
 /// Runs every oracle that involves a prefetching system on `trace`.
 ///
-/// The batched-vs-scalar tier runs first: it owns every batching bug by
+/// The session-partition tier runs first: it owns every chunking bug by
 /// construction, so a chunking defect is always reported under its name
-/// even when downstream oracles (which run at the ambient batch size)
-/// would also trip over it.
+/// even when downstream oracles (which feed whole traces) would also
+/// trip over it.
 pub fn check_system_trace(sys: System, trace: &[AccessEvent]) -> Result<(), Violation> {
-    batched_vs_scalar(sys, trace)?;
+    check_session_partition(sys, trace)?;
     cross_engine(sys, trace)?;
     multicore_equivalence(sys, trace)?;
     invariant_audit(sys, trace)?;
@@ -171,96 +161,101 @@ pub fn check_trace(sys: System, trace: &[AccessEvent]) -> Result<(), Violation> 
     check_reference_models(trace)
 }
 
-/// Tier 1: the batched SoA hot path vs the scalar per-event loop.
-///
-/// Every report a figure can print must be *byte-for-byte* identical
-/// between `batch == 1` (the scalar loop) and any larger batch, so the
-/// comparison is on the full `Debug` rendering of each report — `f64`
-/// Debug is shortest-roundtrip and therefore injective, making string
-/// equality equivalent to bit equality of every field.
-fn batched_vs_scalar(sys: System, trace: &[AccessEvent]) -> Result<(), Violation> {
-    for batch in CHECKED_BATCHES {
-        check_batched_parity(sys, trace, batch)?;
-    }
-    Ok(())
+/// One digest-enabled coverage session of `sys`, driven by `drive`;
+/// returns the digest and the full `Debug` rendering of the report.
+fn session_run(
+    sys: System,
+    cfg: &SystemConfig,
+    warmup: usize,
+    drive: impl FnOnce(&mut CoverageSession, &mut dyn Prefetcher),
+) -> String {
+    let mut p = sys.build(DEGREE);
+    let mut session = CoverageSession::new(cfg, p.name(), warmup);
+    session.enable_digest();
+    drive(&mut session, p.as_mut());
+    let digest = session.digest();
+    format!("digest {digest:#018x} {:?}", session.finish())
 }
 
-/// Compares scalar and `batch`-chunked runs of all three engines on
-/// `trace`. Public so `--replay` can rerun a reproducer under exactly
-/// the recorded batch size.
-pub fn check_batched_parity(
-    sys: System,
-    trace: &[AccessEvent],
-    batch: u32,
-) -> Result<(), Violation> {
-    const O: &str = "batched_vs_scalar";
+/// Tier 1: **session partition** — how the trace is cut into increments
+/// is unobservable.
+///
+/// The coverage session is fed the whole trace at once (the reference),
+/// then in [`PARTITION_STEPS`] increments through
+/// [`CoverageSession::step`] over the cached slice and through
+/// [`CoverageSession::feed`] from a [`SliceSource`] (plus one
+/// whole-trace source chunk), at warmup 0 and at a third of the trace.
+/// Every run must give the same decision digest and the same report,
+/// compared on the full `Debug` rendering — `f64` Debug is
+/// shortest-roundtrip and therefore injective, so string equality is
+/// bit equality of every field. The timing engine's streamed entry point
+/// must likewise match its cached-slice run at every source chunk size.
+pub fn check_session_partition(sys: System, trace: &[AccessEvent]) -> Result<(), Violation> {
+    const O: &str = "session_partition";
     let cfg = SystemConfig::paper();
     let label = sys.label();
-    let mismatch = |engine: &str, warmup: usize, scalar: String, batched: String| Violation {
-        oracle: O,
-        detail: format!(
-            "{label}: {engine} (warmup {warmup}) diverges at batch {batch}:\n\
-             scalar:  {scalar}\n\
-             batched: {batched}"
-        ),
-        batch: Some(batch),
+    let len = trace.len();
+    let shared: std::sync::Arc<[AccessEvent]> = trace.into();
+    let source = |chunk: usize| SliceSource::new(shared.clone(), chunk.clamp(1, 1 << 30) as u32);
+    let mismatch = |what: String, want: String, got: String| {
+        violation(
+            O,
+            format!("{label}: {what} diverges from the whole-trace run:\n  whole: {want}\n  split: {got}"),
+        )
     };
-    // Two warmups: none, and one that is deliberately not a batch
-    // multiple so the warmup-boundary chunk clamp is exercised.
-    for warmup in [0, trace.len() / 3] {
-        let mut p = sys.build(DEGREE);
-        let scalar = format!(
-            "{:?}",
-            run_coverage_with_batch(&cfg, trace, p.as_mut(), warmup, 1)
-        );
-        let mut p = sys.build(DEGREE);
-        let batched = format!(
-            "{:?}",
-            run_coverage_with_batch(&cfg, trace, p.as_mut(), warmup, batch)
-        );
-        if scalar != batched {
-            return Err(mismatch("coverage", warmup, scalar, batched));
+    for warmup in [0, len / 3] {
+        let want = session_run(sys, &cfg, warmup, |s, p| s.feed(p, trace));
+        for step in PARTITION_STEPS {
+            let got = session_run(sys, &cfg, warmup, |s, p| {
+                let mut end = 0;
+                while end < len {
+                    end = (end + step).min(len);
+                    s.step(p, trace, end);
+                }
+            });
+            if got != want {
+                return Err(mismatch(
+                    format!("coverage (cached, {step}-event steps, warmup {warmup})"),
+                    want,
+                    got,
+                ));
+            }
+        }
+        for chunk in PARTITION_STEPS.into_iter().chain([len]) {
+            let got = session_run(sys, &cfg, warmup, |s, p| {
+                s.feed_source(p, &mut source(chunk))
+                    .expect("slice sources cannot fail")
+            });
+            if got != want {
+                return Err(mismatch(
+                    format!("coverage (streamed, {chunk}-event chunks, warmup {warmup})"),
+                    want,
+                    got,
+                ));
+            }
         }
         let mut p = sys.build(DEGREE);
-        let scalar = format!(
-            "{:?}",
-            run_timing_with_batch(&cfg, trace, p.as_mut(), warmup, 1)
-        );
-        let mut p = sys.build(DEGREE);
-        let batched = format!(
-            "{:?}",
-            run_timing_with_batch(&cfg, trace, p.as_mut(), warmup, batch)
-        );
-        if scalar != batched {
-            return Err(mismatch("timing", warmup, scalar, batched));
-        }
-    }
-    // Multicore: two cores sharing the LLC, scalar vs per-core staged.
-    if !trace.is_empty() {
-        let cfg2 = SystemConfig {
-            cores: 2,
-            ..SystemConfig::paper()
-        };
-        let traces = vec![trace.to_vec(), trace.to_vec()];
-        let build = || vec![sys.build(DEGREE), sys.build(DEGREE)];
-        let scalar = format!(
-            "{:?}",
-            run_multicore_with_batch(&cfg2, traces.clone(), build(), 1)
-        );
-        let batched = format!(
-            "{:?}",
-            run_multicore_with_batch(&cfg2, traces, build(), batch)
-        );
-        if scalar != batched {
-            return Err(mismatch("multicore", 0, scalar, batched));
+        let want = format!("{:?}", run_timing_warmed(&cfg, trace, p.as_mut(), warmup));
+        for chunk in PARTITION_STEPS {
+            let mut p = sys.build(DEGREE);
+            let got = run_timing_streamed(&cfg, &mut source(chunk), p.as_mut(), warmup)
+                .map_err(|e| violation(O, format!("{label}: streamed timing run: {e}")))?;
+            let got = format!("{got:?}");
+            if got != want {
+                return Err(mismatch(
+                    format!("timing (streamed, {chunk}-event chunks, warmup {warmup})"),
+                    want,
+                    got,
+                ));
+            }
         }
     }
     Ok(())
 }
 
 /// Chunk size the stream-parity oracle writes its trace files with:
-/// prime, so file chunks straddle every batch boundary and (for any
-/// trace longer than 37 events) never divide the trace.
+/// prime, so (for any trace longer than 37 events) file chunks never
+/// divide the trace.
 const STREAM_CHUNK_EVENTS: u32 = 37;
 
 /// Per-process sequence number for stream-parity temp files, so oracle
@@ -270,10 +265,10 @@ static STREAM_FILE_SEQ: AtomicU64 = AtomicU64::new(0);
 /// Tier 6: **stream parity** — replaying the trace from a `DMNOTRC1`
 /// file through the double-buffered [`FileSource`] must be byte-for-byte
 /// identical to the cached-slice engines, for both the raw and the
-/// Sequitur-compressed codec, across the checked batch sizes and a
-/// warmup that divides neither the batch nor the file chunk. Compares
-/// the decision digest (coverage) and the full `Debug` report rendering
-/// of both engines, like the batched-vs-scalar tier.
+/// Sequitur-compressed codec, at warmup 0 and at a third of the trace.
+/// Compares the decision digest (coverage)
+/// and the full `Debug` report rendering of both engines, like the
+/// session-partition tier.
 pub fn check_stream_parity(sys: System, trace: &[AccessEvent]) -> Result<(), Violation> {
     const O: &str = "stream_parity";
     let cfg = SystemConfig::paper();
@@ -297,8 +292,8 @@ pub fn check_stream_parity(sys: System, trace: &[AccessEvent]) -> Result<(), Vio
     Ok(())
 }
 
-/// One codec's worth of [`check_stream_parity`]: every checked batch,
-/// coverage (digest + report) and timing (report), warmed and unwarmed.
+/// One codec's worth of [`check_stream_parity`]: coverage (digest +
+/// report) and timing (report), warmed and unwarmed.
 fn stream_parity_one_file(
     sys: System,
     trace: &[AccessEvent],
@@ -318,66 +313,57 @@ fn stream_parity_one_file(
     };
     let stream_err =
         |e: &dyn fmt::Display| violation(O, format!("{label}: streamed run ({codec:?}): {e}"));
-    for batch in CHECKED_BATCHES {
-        let mismatch = |engine: &str, warmup: usize, cached: String, streamed: String| Violation {
-            oracle: O,
-            detail: format!(
-                "{label}: {engine} ({codec:?} codec, warmup {warmup}) diverges at batch {batch}:\n\
+    let mismatch = |engine: &str, warmup: usize, cached: String, streamed: String| {
+        violation(
+            O,
+            format!(
+                "{label}: {engine} ({codec:?} codec, warmup {warmup}) diverges:\n\
                  cached:   {cached}\n\
                  streamed: {streamed}"
             ),
-            batch: Some(batch),
-        };
-        // Coverage with decision digest (warmup 0 — the digest session
-        // has no warmup notion, matching run_coverage_session).
+        )
+    };
+    // Coverage with decision digest (warmup 0 — the digest session has
+    // no warmup notion, matching run_coverage_session).
+    let mut p = sys.build(DEGREE);
+    let (want_report, want_digest) = run_coverage_session(cfg, trace, p.as_mut(), 0);
+    let mut source = open()?;
+    let mut p = sys.build(DEGREE);
+    let (got_report, got_digest) = run_coverage_streamed_session(cfg, &mut source, p.as_mut(), 0)
+        .map_err(|e| stream_err(&e))?;
+    if want_digest != got_digest {
+        return Err(mismatch(
+            "coverage digest",
+            0,
+            format!("{want_digest:#018x}"),
+            format!("{got_digest:#018x}"),
+        ));
+    }
+    let (want, got) = (format!("{want_report:?}"), format!("{got_report:?}"));
+    if want != got {
+        return Err(mismatch("coverage", 0, want, got));
+    }
+    // Both engines across the warmup boundary.
+    for warmup in [0, trace.len() / 3] {
         let mut p = sys.build(DEGREE);
-        let (want_report, want_digest) =
-            run_coverage_session(cfg, trace, p.as_mut(), batch as usize);
+        let want = format!("{:?}", run_coverage_warmed(cfg, trace, p.as_mut(), warmup));
         let mut source = open()?;
         let mut p = sys.build(DEGREE);
-        let (got_report, got_digest) =
-            run_coverage_streamed_session(cfg, &mut source, p.as_mut(), batch as usize)
-                .map_err(|e| stream_err(&e))?;
-        if want_digest != got_digest {
-            return Err(mismatch(
-                "coverage digest",
-                0,
-                format!("{want_digest:#018x}"),
-                format!("{got_digest:#018x}"),
-            ));
-        }
-        let (want, got) = (format!("{want_report:?}"), format!("{got_report:?}"));
+        let got = run_coverage_streamed(cfg, &mut source, p.as_mut(), warmup, 0)
+            .map_err(|e| stream_err(&e))?;
+        let got = format!("{got:?}");
         if want != got {
-            return Err(mismatch("coverage", 0, want, got));
+            return Err(mismatch("coverage", warmup, want, got));
         }
-        // Both engines across the warmup boundary.
-        for warmup in [0, trace.len() / 3] {
-            let mut p = sys.build(DEGREE);
-            let want = format!(
-                "{:?}",
-                run_coverage_with_batch(cfg, trace, p.as_mut(), warmup, batch)
-            );
-            let mut source = open()?;
-            let mut p = sys.build(DEGREE);
-            let got = run_coverage_streamed(cfg, &mut source, p.as_mut(), warmup, batch as usize)
-                .map_err(|e| stream_err(&e))?;
-            let got = format!("{got:?}");
-            if want != got {
-                return Err(mismatch("coverage", warmup, want, got));
-            }
-            let mut p = sys.build(DEGREE);
-            let want = format!(
-                "{:?}",
-                run_timing_with_batch(cfg, trace, p.as_mut(), warmup, batch)
-            );
-            let mut source = open()?;
-            let mut p = sys.build(DEGREE);
-            let got = run_timing_streamed(cfg, &mut source, p.as_mut(), warmup, batch as usize)
-                .map_err(|e| stream_err(&e))?;
-            let got = format!("{got:?}");
-            if want != got {
-                return Err(mismatch("timing", warmup, want, got));
-            }
+        let mut p = sys.build(DEGREE);
+        let want = format!("{:?}", run_timing_warmed(cfg, trace, p.as_mut(), warmup));
+        let mut source = open()?;
+        let mut p = sys.build(DEGREE);
+        let got = run_timing_streamed(cfg, &mut source, p.as_mut(), warmup)
+            .map_err(|e| stream_err(&e))?;
+        let got = format!("{got:?}");
+        if want != got {
+            return Err(mismatch("timing", warmup, want, got));
         }
     }
     Ok(())
@@ -747,7 +733,7 @@ fn service_equivalence(sys: System, trace: &[AccessEvent]) -> Result<(), Violati
             let line = ev.line();
             ensure_eq!(
                 O,
-                fin.prefetcher.knows_line(line),
+                fin.prefetcher.as_ref().is_some_and(|p| p.knows_line(line)),
                 reference.knows_line(line),
                 "{label}: tenant {t} knows_line({}) vs single-tenant run",
                 line.raw()
@@ -1399,20 +1385,15 @@ mod tests {
     fn violation_displays_oracle_name() {
         let v = violation("cross_engine", "covered mismatch".into());
         assert_eq!(v.to_string(), "[cross_engine] covered mismatch");
-        let v = Violation {
-            batch: Some(7),
-            ..v
-        };
-        assert_eq!(v.to_string(), "[cross_engine] covered mismatch (batch 7)");
     }
 
     #[test]
-    fn batched_parity_holds_on_adversarial_trace() {
-        // Direct exercise of the public parity entry point (the replay
-        // path) at a batch that does not divide the trace length.
+    fn session_partition_holds_on_adversarial_trace() {
+        // Direct exercise of the public partition entry point on a trace
+        // length that no step size divides.
         let trace = Generator::PointerChase.generate(3, 501);
         for sys in [System::Stms, System::Domino] {
-            check_batched_parity(sys, &trace, 7).expect("scalar and batched agree");
+            check_session_partition(sys, &trace).expect("every partition agrees");
         }
     }
 }

@@ -13,8 +13,9 @@
 //! ```text
 //! "DMNOCHK1"  magic, 8 bytes
 //! u32         version (2; version-1 files still decode)
-//! u32         batch size that manifested the failure (0 = unset;
-//!             the reserved word of version-1 files)
+//! u32         reserved, written as 0 (version-2 writers stored the
+//!             failing batch size of a since-deleted batched engine
+//!             here; readers ignore it)
 //! str         system label     (u32 length + UTF-8 bytes)
 //! str         oracle name
 //! str         generator name
@@ -29,9 +30,9 @@ use domino_trace::event::{AccessEvent, AccessKind};
 
 /// File magic.
 pub const MAGIC: &[u8; 8] = b"DMNOCHK1";
-/// Current format version. Version 2 repurposed the reserved header
-/// word as the failing batch size; version-1 files decode with no
-/// recorded batch.
+/// Current format version. Version 2 once stored a batch size in the
+/// reserved header word; the word is now written as 0 and ignored on
+/// read, so version-1 and version-2 files decode alike.
 pub const VERSION: u32 = 2;
 /// Bytes per event record.
 const RECORD_BYTES: usize = 24;
@@ -47,10 +48,6 @@ pub struct Reproducer {
     pub generator: String,
     /// Fuzzer seed of the failing case.
     pub seed: u64,
-    /// Batch size the violation manifested under (`None` for
-    /// batch-insensitive oracles and version-1 files). Replay reruns
-    /// the batched engines at exactly this chunking.
-    pub batch: Option<u32>,
     /// The shrunk trace.
     pub events: Vec<AccessEvent>,
 }
@@ -113,7 +110,7 @@ impl Reproducer {
         let mut out = Vec::with_capacity(64 + self.events.len() * RECORD_BYTES);
         out.extend_from_slice(MAGIC);
         put_u32(&mut out, VERSION);
-        put_u32(&mut out, self.batch.unwrap_or(0));
+        put_u32(&mut out, 0);
         put_str(&mut out, &self.system);
         put_str(&mut out, &self.oracle);
         put_str(&mut out, &self.generator);
@@ -144,12 +141,9 @@ impl Reproducer {
         if !(1..=VERSION).contains(&version) {
             return Err(format!("unsupported reproducer version {version}"));
         }
-        // Version 1 wrote a zeroed reserved word here; version 2 stores
-        // the failing batch size in it (still 0 when unset).
-        let batch = match c.u32()? {
-            0 => None,
-            b => Some(b),
-        };
+        // The reserved word: zero in version 1, possibly a batch size
+        // in older version-2 files. Nothing replays by it.
+        let _reserved = c.u32()?;
         let system = c.string()?;
         let oracle = c.string()?;
         let generator = c.string()?;
@@ -187,7 +181,6 @@ impl Reproducer {
             oracle,
             generator,
             seed,
-            batch,
             events,
         })
     }
@@ -203,7 +196,6 @@ mod tests {
             oracle: "cross_engine".into(),
             generator: "pointer-chase".into(),
             seed: 0xD0C5,
-            batch: Some(64),
             events: vec![
                 AccessEvent {
                     pc: Pc::new(0x500_000),
@@ -260,26 +252,17 @@ mod tests {
     }
 
     #[test]
-    fn version_1_decodes_without_batch() {
-        // A v2 file with no batch recorded is byte-identical to v1
-        // except for the version word, so patching it back reproduces a
-        // real v1 file exactly.
-        let r = Reproducer {
-            batch: None,
-            ..sample()
-        };
-        let mut b = r.to_bytes();
-        b[8] = 1;
-        let decoded = Reproducer::from_bytes(&b).expect("v1 files stay readable");
-        assert_eq!(decoded, r);
-    }
-
-    #[test]
-    fn batch_survives_roundtrip() {
+    fn version_1_and_batch_stamped_version_2_files_decode() {
         let r = sample();
-        assert_eq!(r.batch, Some(64));
-        let decoded = Reproducer::from_bytes(&r.to_bytes()).expect("valid file");
-        assert_eq!(decoded.batch, Some(64));
+        // A version-1 file differs only in its version word.
+        let mut v1 = r.to_bytes();
+        v1[8] = 1;
+        assert_eq!(Reproducer::from_bytes(&v1).expect("v1 stays readable"), r);
+        // A version-2 file that recorded a batch size decodes to the
+        // same reproducer: the word is ignored.
+        let mut v2 = r.to_bytes();
+        v2[12..16].copy_from_slice(&64u32.to_le_bytes());
+        assert_eq!(Reproducer::from_bytes(&v2).expect("v2 stays readable"), r);
     }
 
     #[test]

@@ -58,9 +58,9 @@ pub const MUTATIONS: [Mutation; 9] = [
         what: "timing engine books late buffer hits as full misses",
     },
     Mutation {
-        name: "batch_stale_contains",
-        oracle: "batched_vs_scalar",
-        what: "batched L1 membership probes read stale chunk-end state",
+        name: "session_warmup_split",
+        oracle: "session_partition",
+        what: "coverage session does not split a chunk at the warmup index",
     },
     Mutation {
         name: "pangloss_victim_tiebreak",
@@ -155,7 +155,7 @@ mod tests {
     #[test]
     fn expected_oracles_are_known_names() {
         let known = [
-            "batched_vs_scalar",
+            "session_partition",
             "cross_engine",
             "multicore_equivalence",
             "attribution_conservation",

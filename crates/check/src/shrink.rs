@@ -23,41 +23,15 @@ use domino_trace::event::AccessEvent;
 /// input indicates a harness bug, not an oracle violation.
 pub fn shrink(
     trace: &[AccessEvent],
-    fails: impl FnMut(&[AccessEvent]) -> bool,
-    max_runs: usize,
-) -> Vec<AccessEvent> {
-    shrink_aligned(trace, fails, max_runs, 1)
-}
-
-/// [`shrink`] restricted to batch-aligned deletions: every removed
-/// chunk starts at a multiple of `align` and spans a multiple of
-/// `align` events (except at the trace tail, which nothing follows).
-///
-/// Batch-sensitive failures depend on where events fall *within* their
-/// chunk — an unaligned deletion shifts every later event's in-chunk
-/// position, so plain ddmin keeps discarding candidate deletions that
-/// would reproduce under an aligned cut. Quantizing the cuts keeps each
-/// surviving event's chunk offset fixed, and the result is
-/// `align`-minimal: no aligned block can be removed without losing the
-/// failure. `align == 1` is exactly [`shrink`].
-///
-/// # Panics
-///
-/// Panics if `align` is zero or the original `trace` does not fail.
-pub fn shrink_aligned(
-    trace: &[AccessEvent],
     mut fails: impl FnMut(&[AccessEvent]) -> bool,
     max_runs: usize,
-    align: usize,
 ) -> Vec<AccessEvent> {
-    assert!(align > 0, "alignment must be positive");
     assert!(fails(trace), "shrink() called on a passing trace");
-    let round_up = |n: usize| n.div_ceil(align) * align;
     let mut best = trace.to_vec();
     let mut runs = 0usize;
     loop {
         let before = best.len();
-        let mut chunk = round_up((best.len() / 2).max(1));
+        let mut chunk = (best.len() / 2).max(1);
         loop {
             let mut start = 0;
             while start < best.len() {
@@ -79,10 +53,10 @@ pub fn shrink_aligned(
                     start = end;
                 }
             }
-            if chunk == align {
+            if chunk == 1 {
                 break;
             }
-            chunk = round_up(chunk / 2).max(align);
+            chunk = (chunk / 2).max(1);
         }
         // A full sweep at every granularity removed nothing: minimal.
         if best.len() == before {
@@ -144,40 +118,5 @@ mod tests {
     #[should_panic(expected = "passing trace")]
     fn passing_trace_panics() {
         shrink(&[ev(1)], |_| false, 10);
-    }
-
-    #[test]
-    fn aligned_cuts_preserve_chunk_offsets() {
-        // Batch-sensitive predicate: the marker line must sit at offset
-        // 2 within its 4-event chunk. Only 4-aligned deletions can keep
-        // it reproducing, so every event the shrinker removes must have
-        // left the marker's in-chunk position untouched.
-        const ALIGN: usize = 4;
-        let marker = 9999u64;
-        let mut trace: Vec<AccessEvent> = (0..64).map(ev).collect();
-        trace[26] = ev(marker); // 26 % 4 == 2
-        let fails = |t: &[AccessEvent]| {
-            t.iter()
-                .enumerate()
-                .any(|(i, e)| e.line() == ev(marker).line() && i % ALIGN == 2)
-        };
-        let small = shrink_aligned(&trace, fails, 10_000, ALIGN);
-        assert!(fails(&small), "shrunk trace must still reproduce");
-        assert_eq!(small.len(), ALIGN, "one aligned chunk survives");
-        assert_eq!(small[2].line(), ev(marker).line());
-    }
-
-    #[test]
-    fn align_one_matches_plain_shrink() {
-        let fails = |t: &[AccessEvent]| {
-            t.iter()
-                .enumerate()
-                .any(|(i, a)| t[..i].iter().any(|b| b.line() == a.line()))
-        };
-        let mut trace: Vec<AccessEvent> = (0..100).map(ev).collect();
-        trace.push(ev(42));
-        let a = shrink(&trace, fails, 10_000);
-        let b = shrink_aligned(&trace, fails, 10_000, 1);
-        assert_eq!(a, b, "align 1 is the plain shrinker");
     }
 }

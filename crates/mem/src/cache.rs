@@ -208,11 +208,10 @@ impl SetAssocCache {
     /// [`SetAssocCache::insert`] of the same line. Returns
     /// `(hit, evicted_victim)`.
     ///
-    /// This is the batched engines' hot-path primitive: the scalar
-    /// engines always insert the demand line right after a miss and
-    /// never insert after a hit, so the second scan of `insert` (and,
-    /// for `Random` replacement, its RNG step on the hit path) is
-    /// provably dead and elided here.
+    /// This is the engines' demand-access primitive: they always insert
+    /// the demand line right after a miss and never insert after a hit,
+    /// so the second scan of `insert` (and, for `Random` replacement,
+    /// its RNG step on the hit path) is provably dead and elided here.
     pub fn access_insert(&mut self, line: LineAddr) -> (bool, Option<LineAddr>) {
         let replacement = self.config.replacement;
         let ways = self.config.ways;
@@ -249,30 +248,6 @@ impl SetAssocCache {
             self.occ[idx] += 1;
             (false, None)
         }
-    }
-
-    /// Hints the host CPU to pull `line`'s set into cache ahead of an
-    /// upcoming [`SetAssocCache::access`]/[`SetAssocCache::insert`].
-    /// Purely a host-side prefetch of the simulator's own storage — it
-    /// reads and writes no simulated state, so interleaving it anywhere
-    /// cannot change any simulation outcome. The batched engines use it
-    /// to overlap the host-memory latency of set lookups they can
-    /// predict (the slab of a large cache does not fit in the host's L1).
-    #[inline]
-    pub fn prefetch_set(&self, line: LineAddr) {
-        let base = self.set_index(line) * self.config.ways;
-        let ptr = std::ptr::addr_of!(self.lines[base]);
-        #[cfg(target_arch = "x86_64")]
-        unsafe {
-            use std::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
-            _mm_prefetch(ptr.cast::<i8>(), _MM_HINT_T0);
-            // A 16-way set spans two cache lines of slab.
-            if self.config.ways * 8 > 64 {
-                _mm_prefetch(ptr.cast::<i8>().add(64), _MM_HINT_T0);
-            }
-        }
-        #[cfg(not(target_arch = "x86_64"))]
-        let _ = ptr;
     }
 
     /// Removes a line if present; returns whether it was there.

@@ -98,26 +98,16 @@ pub trait PrefetchSink {
 /// A batch of pending triggering events, resolved one at a time by the
 /// engine that owns it.
 ///
-/// This is the inversion at the heart of the batched hot path: instead
-/// of the engine calling [`Prefetcher::on_trigger`] once per event, the
-/// engine hands the prefetcher a whole batch and the *prefetcher* pulls
-/// triggers out of it. Between pulls the prefetcher can see the
-/// remaining triggers' `line`/`pc` lanes ([`TriggerBatch::pending_lines`]
-/// / [`TriggerBatch::pending_pcs`]) and warm its index structures with
-/// batched, branch-free probes — hash all lanes first, then probe — so
-/// metadata lookups pipeline instead of serializing behind each
-/// trigger's control flow.
+/// No engine drives prefetchers through batches any more: every engine
+/// calls [`Prefetcher::on_trigger`] once per triggering event. The trait
+/// and the defaulted [`Prefetcher::train_predict_batch`] are kept only
+/// because the benchmark harness's timing wrapper still implements them;
+/// both go with the next change to the benchmark.
 ///
-/// Protocol (the engine's [`TriggerBatch::next`] implements all of it):
-/// each `next` call **applies** the previous trigger's sink outputs to
-/// the engine (buffer fills, stream discards, metadata traffic), clears
-/// `sink`, and resolves the next triggering event; when the batch is
-/// exhausted it applies the final trigger's outputs and returns `None`.
-/// A [`Prefetcher::train_predict_batch`] implementation must therefore
-/// drain the batch: keep calling `next` (responding to each trigger via
-/// `sink`) until it returns `None`. Warming probes must not change any
-/// observable prefetcher state or counters — batched and scalar replays
-/// are required to be byte-identical.
+/// Protocol: each `next` call applies the previous trigger's sink
+/// outputs, clears `sink`, and resolves the next triggering event; when
+/// the batch is exhausted it applies the final trigger's outputs and
+/// returns `None`.
 pub trait TriggerBatch {
     /// Demand lines of the not-yet-resolved triggers, in replay order.
     fn pending_lines(&self) -> &[LineAddr];
@@ -144,17 +134,9 @@ pub trait Prefetcher: Send {
     /// Reacts to one triggering event.
     fn on_trigger(&mut self, event: &TriggerEvent, sink: &mut dyn PrefetchSink);
 
-    /// Drains a [`TriggerBatch`], responding to each trigger.
-    ///
-    /// The default is the scalar loop — pull each trigger and feed it to
-    /// [`Prefetcher::on_trigger`] — which is behaviour-identical to the
-    /// engine's one-event-at-a-time path by construction. Hot roster
-    /// systems override this to warm their index tables from the batch's
-    /// pending lanes before draining, hoisting hash-and-probe work out
-    /// of the per-trigger inner loop. Overrides must preserve exact
-    /// scalar behaviour: same triggers, same sink outputs, same counter
-    /// values (the `domino-check` batched-vs-scalar oracle enforces
-    /// this byte-for-byte).
+    /// Drains a [`TriggerBatch`], responding to each trigger through
+    /// [`Prefetcher::on_trigger`]. No engine calls this; see
+    /// [`TriggerBatch`] for why it is still here.
     fn train_predict_batch(&mut self, batch: &mut dyn TriggerBatch, sink: &mut CollectSink) {
         while let Some(event) = batch.next(sink) {
             self.on_trigger(&event, sink);

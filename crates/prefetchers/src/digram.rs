@@ -13,9 +13,7 @@
 use domino_trace::{FxHashMap, FxHashSet};
 
 use domino_mem::history::{HistoryTable, ROW_ENTRIES};
-use domino_mem::interface::{
-    CollectSink, PrefetchSink, Prefetcher, TriggerBatch, TriggerEvent, TriggerKind,
-};
+use domino_mem::interface::{PrefetchSink, Prefetcher, TriggerEvent, TriggerKind};
 use domino_mem::metadata::UpdateSampler;
 use domino_trace::addr::LineAddr;
 
@@ -182,27 +180,6 @@ impl Prefetcher for Digram {
                 }
                 self.update_index(Some(prev), line, pos, sink);
             }
-        }
-    }
-
-    fn train_predict_batch(&mut self, batch: &mut dyn TriggerBatch, sink: &mut CollectSink) {
-        // Hash-then-probe over *pair* keys: the chunk's trigger lines,
-        // seeded from `self.prev`, reconstruct exactly the (prev, line)
-        // keys the serial drain will look up — `prev` advances on every
-        // trigger regardless of kind. Probes are read-only.
-        let mut warm = 0usize;
-        let mut prev = self.prev;
-        for &line in batch.pending_lines() {
-            if let Some(p) = prev {
-                if self.index.contains_key(&(p, line)) {
-                    warm += 1;
-                }
-            }
-            prev = Some(line);
-        }
-        std::hint::black_box(warm);
-        while let Some(event) = batch.next(sink) {
-            self.on_trigger(&event, sink);
         }
     }
 }

@@ -7,9 +7,7 @@
 //! every temporal prefetcher on the temporal workloads while costing no
 //! metadata traffic at all.
 
-use domino_mem::interface::{
-    CollectSink, PrefetchRequest, PrefetchSink, Prefetcher, TriggerBatch, TriggerEvent, TriggerKind,
-};
+use domino_mem::interface::{PrefetchRequest, PrefetchSink, Prefetcher, TriggerEvent, TriggerKind};
 
 /// Prefetches the next `degree` sequential lines on every miss.
 #[derive(Debug, Clone)]
@@ -40,20 +38,6 @@ impl Prefetcher for NextLine {
         }
         for d in 1..=self.degree {
             sink.prefetch(PrefetchRequest::immediate(event.line.offset(d as i64)));
-        }
-    }
-
-    fn train_predict_batch(&mut self, batch: &mut dyn TriggerBatch, sink: &mut CollectSink) {
-        // No tables to warm; the specialization is the monomorphic drain
-        // loop — requests go straight into the concrete sink instead of
-        // through two virtual calls per trigger.
-        while let Some(event) = batch.next(sink) {
-            if event.kind != TriggerKind::Miss {
-                continue;
-            }
-            for d in 1..=self.degree {
-                sink.prefetch(PrefetchRequest::immediate(event.line.offset(d as i64)));
-            }
         }
     }
 }

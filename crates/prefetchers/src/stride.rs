@@ -7,9 +7,7 @@
 
 use domino_trace::FxHashMap;
 
-use domino_mem::interface::{
-    CollectSink, PrefetchRequest, PrefetchSink, Prefetcher, TriggerBatch, TriggerEvent, TriggerKind,
-};
+use domino_mem::interface::{PrefetchRequest, PrefetchSink, Prefetcher, TriggerEvent, TriggerKind};
 use domino_trace::addr::Pc;
 
 #[derive(Debug, Clone, Copy)]
@@ -90,23 +88,6 @@ impl Prefetcher for StridePrefetcher {
                     },
                 );
             }
-        }
-    }
-
-    fn train_predict_batch(&mut self, batch: &mut dyn TriggerBatch, sink: &mut CollectSink) {
-        // Hash-then-probe warm-up: touch every pending PC's RPT slot in
-        // one tight read-only pass, so the serial drain's `get_mut`
-        // lookups land on warm hash buckets. `black_box` keeps the pass
-        // from being optimized away as dead.
-        let mut warm = 0usize;
-        for pc in batch.pending_pcs() {
-            if self.table.contains_key(pc) {
-                warm += 1;
-            }
-        }
-        std::hint::black_box(warm);
-        while let Some(event) = batch.next(sink) {
-            self.on_trigger(&event, sink);
         }
     }
 }

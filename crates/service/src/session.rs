@@ -2,11 +2,11 @@
 //! incremental [`CoverageSession`].
 //!
 //! The session is the unit of both correctness and memory accounting.
-//! Correctness: the coverage engine's partition-invariance (any chunking
-//! of a stream replays bit-identically to the scalar engine) means a
-//! tenant served in request-batch increments ends with exactly the
-//! report, decision digest, and metadata state of a single-tenant `sim`
-//! run over the same stream. Memory: the prefetcher reports its
+//! Correctness: the coverage session's partition-invariance (any
+//! chunking of a stream replays bit-identically to a whole-trace run)
+//! means a tenant served in request-batch increments ends with exactly
+//! the report, decision digest, and metadata state of a single-tenant
+//! `sim` run over the same stream. Memory: the prefetcher reports its
 //! metadata allocation ([`Prefetcher::footprint_bytes`]), and the shard
 //! charges a fixed overhead for the engine models on top.
 
@@ -68,7 +68,9 @@ pub struct TenantFinal {
     /// The tenant's prefetcher, kept so callers can probe its metadata
     /// ([`Prefetcher::knows_line`]) — the isolation tests and the
     /// equivalence oracle compare membership against references.
-    pub prefetcher: Box<dyn Prefetcher>,
+    /// `None` for an evicted session: eviction exists to free the
+    /// shard's memory, so its metadata is dropped with it.
+    pub prefetcher: Option<Box<dyn Prefetcher>>,
 }
 
 impl TenantSession {
@@ -177,7 +179,8 @@ impl TenantSession {
         self.prefetcher.knows_line(line)
     }
 
-    /// Closes the session into a [`TenantFinal`].
+    /// Closes the session into a [`TenantFinal`]; an `evicted` session
+    /// drops its prefetcher here.
     pub fn finalize(self, evicted: bool) -> TenantFinal {
         let digest = self.engine.digest();
         let processed = self.engine.processed();
@@ -191,7 +194,7 @@ impl TenantSession {
             gap_events: self.gap_events,
             resets: self.resets,
             evicted,
-            prefetcher: self.prefetcher,
+            prefetcher: (!evicted).then_some(self.prefetcher),
         }
     }
 }

@@ -15,7 +15,8 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use domino_check::Generator;
-use domino_service::{BatchRequest, MetadataService, ServiceConfig};
+use domino_mem::interface::Prefetcher;
+use domino_service::{BatchRequest, MetadataService, ServiceConfig, TenantFinal};
 use domino_sim::engine::run_coverage_session;
 use domino_sim::roster::System;
 use domino_sim::SystemConfig;
@@ -85,6 +86,13 @@ fn submit_interleaved_mixed(
 }
 
 /// The homogeneous form: every tenant runs the same system.
+/// The prefetcher of a drained (never evicted) tenant.
+fn kept(fin: &TenantFinal) -> &dyn Prefetcher {
+    fin.prefetcher
+        .as_deref()
+        .expect("a drained session keeps its prefetcher")
+}
+
 fn submit_interleaved(
     service: &MetadataService,
     system: System,
@@ -133,7 +141,7 @@ fn aliased_tenants_do_not_leak_predictions_or_metadata() {
             );
             for ev in stream.iter() {
                 assert_eq!(
-                    fin.prefetcher.knows_line(ev.line()),
+                    kept(fin).knows_line(ev.line()),
                     reference.knows_line(ev.line()),
                     "{} tenant {t}: own-line membership diverged",
                     system.label()
@@ -148,7 +156,7 @@ fn aliased_tenants_do_not_leak_predictions_or_metadata() {
                 }
                 for ev in other_stream.iter() {
                     assert!(
-                        !fin.prefetcher.knows_line(ev.line()),
+                        !kept(fin).knows_line(ev.line()),
                         "{} tenant {t}: knows tenant {other}'s line {:#x}",
                         system.label(),
                         ev.line().raw()
@@ -203,7 +211,7 @@ fn pangloss_and_triangel_tenants_coexist_on_one_shard() {
         );
         for ev in stream.iter() {
             assert_eq!(
-                fin.prefetcher.knows_line(ev.line()),
+                kept(fin).knows_line(ev.line()),
                 reference.knows_line(ev.line()),
                 "{} tenant {t}: own-line membership diverged",
                 system.label()
@@ -215,7 +223,7 @@ fn pangloss_and_triangel_tenants_coexist_on_one_shard() {
             }
             for ev in other_stream.iter() {
                 assert!(
-                    !fin.prefetcher.knows_line(ev.line()),
+                    !kept(fin).knows_line(ev.line()),
                     "{} tenant {t}: knows the co-resident rival's line {:#x}",
                     system.label(),
                     ev.line().raw()
@@ -294,4 +302,46 @@ fn shard_budget_evicts_lru_and_completes() {
             "tenant {t}: blocking policy must not create gaps"
         );
     }
+}
+
+#[test]
+fn evicted_sessions_release_their_prefetchers() {
+    const TENANTS: u64 = 64;
+    const BUDGET: usize = 64 * 1024;
+    let base = Generator::PointerChase.generate(0x5EED, 300);
+    let streams: Vec<Arc<[AccessEvent]>> = (0..TENANTS).map(|t| tenant_trace(&base, t)).collect();
+    // Many Stms tenants on one shard whose budget holds only a few of
+    // them: most sessions are evicted, many of them several times.
+    let service = MetadataService::start(ServiceConfig {
+        shards: 1,
+        degree: DEGREE,
+        shard_budget_bytes: BUDGET,
+        ..ServiceConfig::default()
+    });
+    submit_interleaved(&service, System::Stms, &streams, 13);
+    let result = service.shutdown();
+    let stats = &result.shards[0].stats;
+    assert!(
+        stats.evictions > TENANTS,
+        "budget never forced enough evictions"
+    );
+    let mut retained = 0usize;
+    let mut largest = 0usize;
+    for fin in result.finals() {
+        match (&fin.prefetcher, fin.evicted) {
+            (None, true) => {}
+            (Some(p), false) => {
+                retained += p.footprint_bytes();
+                largest = largest.max(p.footprint_bytes());
+            }
+            (Some(_), true) => panic!("tenant {}: evicted final kept its prefetcher", fin.tenant),
+            (None, false) => panic!("tenant {}: drained final lost its prefetcher", fin.tenant),
+        }
+    }
+    // Whatever is still held after shutdown is what the shard held at
+    // its last batch: the budget, plus the session it may not evict.
+    assert!(
+        retained <= BUDGET + largest,
+        "retained prefetchers hold {retained} bytes, budget {BUDGET} + one session {largest}"
+    );
 }

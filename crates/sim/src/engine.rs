@@ -15,15 +15,14 @@
 //! same run.
 
 use domino_mem::cache::SetAssocCache;
-use domino_mem::interface::{CollectSink, Prefetcher, TriggerBatch, TriggerEvent};
+use domino_mem::interface::{CollectSink, Prefetcher, TriggerEvent};
 use domino_mem::prefetch_buffer::{InsertOutcome, PrefetchBuffer};
 use domino_sequitur::Histogram;
-use domino_telemetry::{CounterSink, Telemetry, DISTANCE_BOUNDS};
-use domino_trace::addr::{LineAddr, Pc, LINE_BYTES};
+use domino_telemetry::{CounterSink, HistId, Telemetry, DISTANCE_BOUNDS};
+use domino_trace::addr::LINE_BYTES;
 use domino_trace::event::AccessEvent;
 use domino_trace::stream::{EventSource, TraceFileError};
 
-use crate::batch::{L1Lanes, TriggerLanes};
 use crate::config::SystemConfig;
 use crate::scratch;
 
@@ -180,18 +179,13 @@ fn emit_coverage_row(
     prefetcher.emit_counters(row);
 }
 
-/// [`run_coverage_warmed`] with a telemetry handle: every access ticks
+/// [`run_coverage_warmed`] with a telemetry handle: every L1 miss ticks
 /// the epoch clock, every epoch boundary snapshots the cumulative
 /// counters (engine metrics, L1, buffer, and the prefetcher's own
 /// counters), and covered misses record their prefetch-to-use distance
 /// in demand accesses. With a disabled handle this is exactly
-/// [`run_coverage_warmed`] — one dead branch per access.
-///
-/// Unobserved runs take the batched structure-of-arrays hot path when
-/// the effective [`crate::observe::batch_size`] is greater than one;
-/// observed runs (epoch telemetry or flight recorder) always take the
-/// scalar path, whose per-event hooks the observation machinery needs.
-/// Both paths produce byte-identical reports.
+/// [`run_coverage_warmed`]: observed and unobserved runs execute the
+/// same [`CoverageSession`] loop.
 pub fn run_coverage_observed(
     system: &SystemConfig,
     trace: &[AccessEvent],
@@ -199,201 +193,12 @@ pub fn run_coverage_observed(
     warmup: usize,
     tel: &mut Telemetry,
 ) -> CoverageReport {
-    let batch = crate::observe::batch_size();
-    if batch > 1 && !tel.is_on() && !tel.has_tracer() {
-        run_coverage_batched(system, trace, prefetcher, warmup, batch as usize)
-    } else {
-        run_coverage_scalar(system, trace, prefetcher, warmup, tel)
-    }
-}
-
-/// [`run_coverage`] at an explicit batch size, ignoring the process-wide
-/// knob — the entry point for batched-vs-scalar differential checks
-/// (`batch = 1` forces the scalar loop).
-pub fn run_coverage_with_batch(
-    system: &SystemConfig,
-    trace: &[AccessEvent],
-    prefetcher: &mut dyn Prefetcher,
-    warmup: usize,
-    batch: u32,
-) -> CoverageReport {
-    if batch > 1 {
-        run_coverage_batched(system, trace, prefetcher, warmup, batch as usize)
-    } else {
-        run_coverage_scalar(system, trace, prefetcher, warmup, &mut Telemetry::off())
-    }
-}
-
-/// The scalar one-event-at-a-time loop (and the only loop that supports
-/// telemetry and tracing).
-fn run_coverage_scalar(
-    system: &SystemConfig,
-    trace: &[AccessEvent],
-    prefetcher: &mut dyn Prefetcher,
-    warmup: usize,
-    tel: &mut Telemetry,
-) -> CoverageReport {
-    let dist_hist = tel.register_histogram("prefetch_to_use_distance", DISTANCE_BOUNDS);
-    let mut l1 = scratch::cache(system.l1d);
-    let mut buffer = scratch::buffer(system.prefetch_buffer_blocks);
-    let mut sink = scratch::sink();
+    let armed = std::mem::replace(tel, Telemetry::off());
+    let mut session = CoverageSession::observed(system, prefetcher.name(), warmup, armed);
     prefetcher.reserve(trace.len());
-    let mut report = CoverageReport {
-        name: prefetcher.name().to_string(),
-        accesses: 0,
-        l1_hits: 0,
-        baseline_misses: 0,
-        covered: 0,
-        read_misses: 0,
-        read_covered: 0,
-        prefetches_issued: 0,
-        overpredictions: 0,
-        meta_read_blocks: 0,
-        meta_write_blocks: 0,
-        stream_lengths: Histogram::fig12(),
-        first_prefetch_trips: 0,
-        first_prefetch_count: 0,
-    };
-    let mut run = 0u64;
-    // Buffer statistics at the measurement boundary, subtracted from the
-    // final counts so warmup overpredictions are not charged.
-    let mut warmup_overpredictions = 0u64;
-    let mut measuring = warmup == 0;
-    for (i, &ev) in trace.iter().enumerate() {
-        if !measuring && i >= warmup {
-            measuring = true;
-            warmup_overpredictions = buffer.stats().overpredictions();
-        }
-        if measuring {
-            report.accesses += 1;
-        }
-        let line = ev.line();
-        if l1.access(line) {
-            if measuring {
-                report.l1_hits += 1;
-            }
-            continue;
-        }
-        // The coverage engine never uses arrival times, so `ready_at`
-        // carries the inserting access's index instead — the difference
-        // on a hit is the prefetch-to-use distance in demand accesses.
-        let taken = buffer.take(line);
-        if let Some(entry) = taken {
-            let distance = (i as f64 - entry.ready_at).max(0.0) as u64;
-            tel.record(dist_hist, distance);
-            if let Some(rec) = tel.tracer() {
-                rec.demand_hit(i as u64, line.raw(), entry.stream, distance);
-            }
-        } else if tel.has_tracer() {
-            // Probe the metadata before this event trains on the miss, so
-            // the mispredicted / no-metadata split reflects what the
-            // prefetcher knew when it failed to cover the line.
-            let knows = prefetcher.knows_line(line);
-            if let Some(rec) = tel.tracer() {
-                rec.demand_miss(i as u64, line.raw(), knows);
-            }
-        }
-        let covered = taken.is_some();
-        if measuring {
-            report.baseline_misses += 1;
-            if ev.kind.is_read() {
-                report.read_misses += 1;
-            }
-            if covered {
-                report.covered += 1;
-                if ev.kind.is_read() {
-                    report.read_covered += 1;
-                }
-                run += 1;
-            } else if run > 0 {
-                report.stream_lengths.record(run);
-                run = 0;
-            }
-        }
-        let trigger = if covered {
-            TriggerEvent::prefetch_hit(ev.pc, line)
-        } else {
-            TriggerEvent::miss(ev.pc, line)
-        };
-        l1.insert(line);
-        sink.clear();
-        prefetcher.on_trigger(&trigger, &mut *sink);
-        match tel.tracer() {
-            Some(rec) => {
-                if sink.meta_read_blocks > 0 {
-                    // The coverage engine is un-timed: the lookup begins
-                    // and ends at the same access index.
-                    rec.meta_start(i as u64, sink.meta_read_blocks);
-                    rec.meta_end(i as u64, 0);
-                }
-                for &tag in &sink.replaced {
-                    rec.eit_replace(i as u64, tag.raw());
-                }
-                for &stream in &sink.discarded_streams {
-                    buffer.discard_stream_with(stream, |e| {
-                        rec.evict_unused(i as u64, e.line.raw(), e.stream);
-                    });
-                }
-            }
-            None => {
-                for &stream in &sink.discarded_streams {
-                    buffer.discard_stream(stream);
-                }
-            }
-        }
-        let mut first_of_event = true;
-        for req in &sink.requests {
-            if measuring {
-                report.prefetches_issued += 1;
-                if first_of_event && req.delay_trips > 0 {
-                    // A request needing metadata trips in this event opens
-                    // or re-points a stream; track its timeliness.
-                    report.first_prefetch_trips += u64::from(req.delay_trips);
-                    report.first_prefetch_count += 1;
-                    first_of_event = false;
-                }
-            }
-            if let Some(rec) = tel.tracer() {
-                rec.issue(i as u64, req.line.raw(), req.stream, req.delay_trips);
-            }
-            if !l1.contains(req.line) {
-                let outcome = buffer.insert(req.line, i as f64, req.stream);
-                if let Some(rec) = tel.tracer() {
-                    match outcome {
-                        InsertOutcome::Inserted => {
-                            rec.fill(i as u64, req.line.raw(), req.stream, i as u64);
-                        }
-                        InsertOutcome::Duplicate => {
-                            rec.drop_unbuffered(i as u64, req.line.raw(), req.stream, 1);
-                        }
-                        InsertOutcome::Evicted(victim) => {
-                            rec.evict_unused(i as u64, victim.line.raw(), victim.stream);
-                            rec.fill(i as u64, req.line.raw(), req.stream, i as u64);
-                        }
-                    }
-                }
-            } else if let Some(rec) = tel.tracer() {
-                // Already in the L1: the engine drops the request.
-                rec.drop_unbuffered(i as u64, req.line.raw(), req.stream, 2);
-            }
-        }
-        if measuring {
-            report.meta_read_blocks += sink.meta_read_blocks;
-            report.meta_write_blocks += sink.meta_write_blocks;
-        }
-        if tel.tick() {
-            tel.snapshot(|row| emit_coverage_row(row, &report, &l1, &buffer, &*prefetcher));
-        }
-    }
-    tel.flush(|row| emit_coverage_row(row, &report, &l1, &buffer, &*prefetcher));
-    if run > 0 {
-        report.stream_lengths.record(run);
-    }
-    let stats = buffer.stats();
-    // Everything still sitting in the buffer at the end was never used;
-    // warmup-era overpredictions are excluded.
-    report.overpredictions =
-        (stats.overpredictions() - warmup_overpredictions) + buffer.len() as u64;
+    session.feed(prefetcher, trace);
+    let (report, armed) = session.finish_observed(prefetcher);
+    *tel = armed;
     report
 }
 
@@ -405,151 +210,28 @@ fn fold(h: &mut u64, v: u64) {
 /// FNV-1a offset basis — the digest's starting value.
 const DIGEST_BASIS: u64 = 0xcbf2_9ce4_8422_2325;
 
-/// The coverage engine's [`TriggerBatch`]: one staged chunk's compacted
-/// triggering events (L1 misses only — hits never reach the prefetcher),
-/// resolved against the prefetch buffer one pull at a time.
-struct CoverageDriver<'a> {
-    l1: &'a SetAssocCache,
-    lanes: &'a L1Lanes,
-    buffer: &'a mut PrefetchBuffer,
-    report: &'a mut CoverageReport,
-    run: &'a mut u64,
-    measuring: bool,
-    /// Absolute trace indices of the chunk's triggering events.
-    idx: &'a [u32],
-    /// Demand lines, PCs, and read flags, parallel to `idx`.
-    lines: &'a [LineAddr],
-    pcs: &'a [Pc],
-    reads: &'a [bool],
-    cursor: usize,
-    /// When present, every metadata decision — trigger kinds, issued
-    /// prefetches, stream discards, replacement victims, metadata
-    /// traffic — folds into this FNV accumulator in replay order.
-    digest: Option<&'a mut u64>,
-}
-
-impl CoverageDriver<'_> {
-    /// Applies trigger `k`'s sink outputs: stream discards, buffer
-    /// fills gated on as-of-event-`k` L1 membership, and metadata
-    /// traffic — the exact tail of the scalar event loop.
-    fn apply(&mut self, k: usize, sink: &CollectSink) {
-        let i = self.idx[k];
-        if let Some(h) = self.digest.as_deref_mut() {
-            for &stream in &sink.discarded_streams {
-                fold(h, 0x10);
-                fold(h, u64::from(stream));
-            }
-            for req in &sink.requests {
-                fold(h, 0x20);
-                fold(h, req.line.raw());
-                fold(h, u64::from(req.delay_trips));
-                fold(h, req.stream.map_or(u64::MAX, u64::from));
-            }
-            for &line in &sink.replaced {
-                fold(h, 0x30);
-                fold(h, line.raw());
-            }
-            fold(h, sink.meta_read_blocks);
-            fold(h, sink.meta_write_blocks);
-        }
-        for &stream in &sink.discarded_streams {
-            self.buffer.discard_stream(stream);
-        }
-        let mut first_of_event = true;
-        for req in &sink.requests {
-            if self.measuring {
-                self.report.prefetches_issued += 1;
-                if first_of_event && req.delay_trips > 0 {
-                    self.report.first_prefetch_trips += u64::from(req.delay_trips);
-                    self.report.first_prefetch_count += 1;
-                    first_of_event = false;
-                }
-            }
-            if !self.lanes.contains_at(self.l1, i, req.line) {
-                self.buffer.insert(req.line, f64::from(i), req.stream);
-            }
-        }
-        if self.measuring {
-            self.report.meta_read_blocks += sink.meta_read_blocks;
-            self.report.meta_write_blocks += sink.meta_write_blocks;
-        }
-    }
-}
-
-impl TriggerBatch for CoverageDriver<'_> {
-    fn pending_lines(&self) -> &[LineAddr] {
-        &self.lines[self.cursor..]
-    }
-
-    fn pending_pcs(&self) -> &[Pc] {
-        &self.pcs[self.cursor..]
-    }
-
-    fn next(&mut self, sink: &mut CollectSink) -> Option<TriggerEvent> {
-        if self.cursor > 0 {
-            self.apply(self.cursor - 1, sink);
-        }
-        sink.clear();
-        if self.cursor == self.idx.len() {
-            return None;
-        }
-        let k = self.cursor;
-        self.cursor += 1;
-        let line = self.lines[k];
-        let covered = self.buffer.take(line).is_some();
-        if self.measuring {
-            self.report.baseline_misses += 1;
-            if self.reads[k] {
-                self.report.read_misses += 1;
-            }
-            if covered {
-                self.report.covered += 1;
-                if self.reads[k] {
-                    self.report.read_covered += 1;
-                }
-                *self.run += 1;
-            } else if *self.run > 0 {
-                self.report.stream_lengths.record(*self.run);
-                *self.run = 0;
-            }
-        }
-        if let Some(h) = self.digest.as_deref_mut() {
-            fold(h, u64::from(covered));
-            fold(h, self.pcs[k].raw());
-            fold(h, line.raw());
-        }
-        Some(if covered {
-            TriggerEvent::prefetch_hit(self.pcs[k], line)
-        } else {
-            TriggerEvent::miss(self.pcs[k], line)
-        })
-    }
-}
-
-/// An incremental coverage run: the batched structure-of-arrays engine
-/// ([`L1Lanes::stage_coverage`] pre-pass, [`CoverageDriver`] replay,
-/// [`Prefetcher::train_predict_batch`]) packaged as a resumable session
-/// that accepts the trace in arbitrary increments.
+/// An incremental coverage run: the coverage engine's one event loop,
+/// packaged as a resumable session that accepts the trace in arbitrary
+/// increments.
 ///
-/// Any partition of the trace into [`CoverageSession::step`] calls
-/// produces a report byte-identical to the scalar engine — the same
-/// property the `domino-check` batched-vs-scalar oracle enforces for
-/// [`run_coverage_with_batch`] — so callers that receive a stream in
-/// pieces (the `domino-service` metadata service feeds one session per
-/// tenant, one request batch at a time) never need to align their chunk
-/// boundaries with anything.
+/// Every coverage entry point drives a session, and any partition of
+/// the trace into [`CoverageSession::step`]/[`CoverageSession::feed`]
+/// calls produces a byte-identical report, digest, and telemetry — the
+/// `session_partition` oracle in `domino-check` enforces it — so
+/// callers that receive a stream in pieces (the `domino-service`
+/// metadata service feeds one session per tenant, one request batch at
+/// a time; streamed runs feed one source chunk at a time) never need to
+/// align their chunk boundaries with anything.
 ///
 /// The session carries the per-run engine state (L1 model, prefetch
-/// buffer, staging lanes) but **not** the prefetcher, which is passed to
-/// every `step`; the prefetcher is owned by the caller so it can be
-/// probed ([`Prefetcher::knows_line`]) or sized
+/// buffer, telemetry handle) but **not** the prefetcher, which is
+/// passed to every `step`; the prefetcher is owned by the caller so it
+/// can be probed ([`Prefetcher::knows_line`]) or sized
 /// ([`Prefetcher::footprint_bytes`]) between steps.
 pub struct CoverageSession {
     l1: scratch::Pooled<SetAssocCache>,
     buffer: scratch::Pooled<PrefetchBuffer>,
     sink: scratch::Pooled<CollectSink>,
-    lanes: L1Lanes,
-    trig: TriggerLanes,
     report: CoverageReport,
     run: u64,
     warmup: usize,
@@ -559,6 +241,10 @@ pub struct CoverageSession {
     seen: usize,
     /// Decision digest accumulator ([`CoverageSession::enable_digest`]).
     digest: Option<u64>,
+    /// Epoch telemetry and flight recorder; off unless the session was
+    /// created [`CoverageSession::observed`].
+    tel: Telemetry,
+    dist_hist: HistId,
 }
 
 impl CoverageSession {
@@ -566,12 +252,18 @@ impl CoverageSession {
     /// first `warmup` accesses excluded from metrics as in
     /// [`run_coverage_warmed`].
     pub fn new(system: &SystemConfig, name: &str, warmup: usize) -> Self {
+        Self::observed(system, name, warmup, Telemetry::off())
+    }
+
+    /// [`CoverageSession::new`] observed by `tel` (epoch telemetry
+    /// and/or flight recorder, as armed); take it back with
+    /// [`CoverageSession::finish_observed`].
+    pub fn observed(system: &SystemConfig, name: &str, warmup: usize, mut tel: Telemetry) -> Self {
+        let dist_hist = tel.register_histogram("prefetch_to_use_distance", DISTANCE_BOUNDS);
         CoverageSession {
             l1: scratch::cache(system.l1d),
             buffer: scratch::buffer(system.prefetch_buffer_blocks),
             sink: scratch::sink(),
-            lanes: L1Lanes::new(),
-            trig: TriggerLanes::new(),
             report: CoverageReport {
                 name: name.to_string(),
                 accesses: 0,
@@ -593,6 +285,8 @@ impl CoverageSession {
             warmup_overpredictions: 0,
             seen: 0,
             digest: None,
+            tel,
+            dist_hist,
         }
     }
 
@@ -643,9 +337,8 @@ impl CoverageSession {
         self.seen = index;
     }
 
-    /// Processes `trace[processed()..end]` as staged chunks, splitting at
-    /// the warmup boundary so `measuring` stays constant within a chunk
-    /// (the scalar loop flips mid-stream).
+    /// Processes `trace[processed()..end]` (`end` is clamped to the
+    /// trace).
     pub fn step(&mut self, prefetcher: &mut dyn Prefetcher, trace: &[AccessEvent], end: usize) {
         let n = end.min(trace.len());
         if self.seen < n {
@@ -653,136 +346,286 @@ impl CoverageSession {
         }
     }
 
-    /// Processes one streamed chunk whose first event sits at the
-    /// session's current absolute position ([`CoverageSession::processed`]),
-    /// splitting at the warmup boundary. This is the out-of-core twin of
-    /// [`CoverageSession::step`]: the chunk need not be a window into any
-    /// materialized trace, and because the session is partition-invariant
-    /// the result is byte-identical to a cached-slice run over the same
-    /// events no matter how the stream was chunked.
+    /// Processes one chunk whose first event sits at the session's
+    /// current absolute position ([`CoverageSession::processed`]). This
+    /// is the out-of-core twin of [`CoverageSession::step`]: the chunk
+    /// need not be a window into any materialized trace.
+    ///
+    /// The chunk is split at the warmup index, so whether an event is
+    /// measured is decided once per segment rather than once per event.
     pub fn feed(&mut self, prefetcher: &mut dyn Prefetcher, chunk: &[AccessEvent]) {
         let mut off = 0usize;
         while off < chunk.len() {
             let s = self.seen;
             let mut len = chunk.len() - off;
-            if s < self.warmup && s + len > self.warmup {
+            // Injected bug for the checker self-test: the segment is not
+            // split at the warmup index, so the whole chunk is measured
+            // (or not) by where it starts.
+            #[cfg(domino_mutate)]
+            let split = !crate::mutate_active("session_warmup_split");
+            #[cfg(not(domino_mutate))]
+            let split = true;
+            if split && s < self.warmup && s + len > self.warmup {
                 len = self.warmup - s;
             }
-            self.feed_chunk(prefetcher, &chunk[off..off + len], s);
+            self.feed_segment(prefetcher, &chunk[off..off + len], s);
             off += len;
             self.seen = s + len;
         }
     }
 
-    /// One staged chunk whose first event is absolute index `s`;
-    /// `measuring` is constant across it.
-    fn feed_chunk(&mut self, prefetcher: &mut dyn Prefetcher, chunk: &[AccessEvent], s: usize) {
+    /// Feeds every remaining chunk of `source` through
+    /// [`CoverageSession::feed`], one chunk at a time — only that chunk
+    /// of events is ever resident.
+    ///
+    /// # Errors
+    ///
+    /// Propagates decode/I/O errors from the source.
+    pub fn feed_source(
+        &mut self,
+        prefetcher: &mut dyn Prefetcher,
+        source: &mut dyn EventSource,
+    ) -> Result<(), TraceFileError> {
+        let mut chunk = Vec::new();
+        while source.next_chunk(&mut chunk)? > 0 {
+            self.feed(prefetcher, &chunk);
+        }
+        Ok(())
+    }
+
+    /// The event loop over one segment whose first event is absolute
+    /// index `s`; `measuring` is constant across it.
+    fn feed_segment(&mut self, prefetcher: &mut dyn Prefetcher, events: &[AccessEvent], s: usize) {
         let measuring = s >= self.warmup;
         if measuring && s == self.warmup && self.warmup > 0 {
+            // Buffer statistics at the measurement boundary, subtracted
+            // from the final counts so warmup overpredictions are not
+            // charged.
             self.warmup_overpredictions = self.buffer.stats().overpredictions();
         }
-        let hits = self
-            .lanes
-            .stage_coverage_at(&mut self.l1, chunk, s as u32, &mut self.trig);
-        if measuring {
-            self.report.accesses += chunk.len() as u64;
-            self.report.l1_hits += hits;
+        let l1: &mut SetAssocCache = &mut self.l1;
+        let buffer: &mut PrefetchBuffer = &mut self.buffer;
+        let sink: &mut CollectSink = &mut self.sink;
+        let report = &mut self.report;
+        let run = &mut self.run;
+        let tel = &mut self.tel;
+        let digest = &mut self.digest;
+        let dist_hist = self.dist_hist;
+        for (k, ev) in events.iter().enumerate() {
+            let i = s + k;
+            if measuring {
+                report.accesses += 1;
+            }
+            let line = ev.line();
+            // Probe and demand-fill in one scan: nothing between the
+            // probe and the fill reads the L1, and prefetches never fill
+            // it, so hoisting the fill to the probe is exact.
+            if l1.access_insert(line).0 {
+                if measuring {
+                    report.l1_hits += 1;
+                }
+                continue;
+            }
+            // The coverage engine never uses arrival times, so `ready_at`
+            // carries the inserting access's index instead — the
+            // difference on a hit is the prefetch-to-use distance in
+            // demand accesses.
+            let taken = buffer.take(line);
+            if let Some(entry) = taken {
+                let distance = (i as f64 - entry.ready_at).max(0.0) as u64;
+                tel.record(dist_hist, distance);
+                if let Some(rec) = tel.tracer() {
+                    rec.demand_hit(i as u64, line.raw(), entry.stream, distance);
+                }
+            } else if tel.has_tracer() {
+                // Probe the metadata before this event trains on the
+                // miss, so the mispredicted / no-metadata split reflects
+                // what the prefetcher knew when it failed to cover the
+                // line.
+                let knows = prefetcher.knows_line(line);
+                if let Some(rec) = tel.tracer() {
+                    rec.demand_miss(i as u64, line.raw(), knows);
+                }
+            }
+            let covered = taken.is_some();
+            if measuring {
+                report.baseline_misses += 1;
+                if ev.kind.is_read() {
+                    report.read_misses += 1;
+                }
+                if covered {
+                    report.covered += 1;
+                    if ev.kind.is_read() {
+                        report.read_covered += 1;
+                    }
+                    *run += 1;
+                } else if *run > 0 {
+                    report.stream_lengths.record(*run);
+                    *run = 0;
+                }
+            }
+            let trigger = if covered {
+                TriggerEvent::prefetch_hit(ev.pc, line)
+            } else {
+                TriggerEvent::miss(ev.pc, line)
+            };
+            sink.clear();
+            prefetcher.on_trigger(&trigger, sink);
+            if let Some(h) = digest.as_mut() {
+                fold_decision(h, covered, &trigger, sink);
+            }
+            match tel.tracer() {
+                Some(rec) => {
+                    if sink.meta_read_blocks > 0 {
+                        // The coverage engine is un-timed: the lookup
+                        // begins and ends at the same access index.
+                        rec.meta_start(i as u64, sink.meta_read_blocks);
+                        rec.meta_end(i as u64, 0);
+                    }
+                    for &tag in &sink.replaced {
+                        rec.eit_replace(i as u64, tag.raw());
+                    }
+                    for &stream in &sink.discarded_streams {
+                        buffer.discard_stream_with(stream, |e| {
+                            rec.evict_unused(i as u64, e.line.raw(), e.stream);
+                        });
+                    }
+                }
+                None => {
+                    for &stream in &sink.discarded_streams {
+                        buffer.discard_stream(stream);
+                    }
+                }
+            }
+            let mut first_of_event = true;
+            for req in &sink.requests {
+                if measuring {
+                    report.prefetches_issued += 1;
+                    if first_of_event && req.delay_trips > 0 {
+                        // A request needing metadata trips in this event
+                        // opens or re-points a stream; track its
+                        // timeliness.
+                        report.first_prefetch_trips += u64::from(req.delay_trips);
+                        report.first_prefetch_count += 1;
+                        first_of_event = false;
+                    }
+                }
+                if let Some(rec) = tel.tracer() {
+                    rec.issue(i as u64, req.line.raw(), req.stream, req.delay_trips);
+                }
+                if !l1.contains(req.line) {
+                    let outcome = buffer.insert(req.line, i as f64, req.stream);
+                    if let Some(rec) = tel.tracer() {
+                        match outcome {
+                            InsertOutcome::Inserted => {
+                                rec.fill(i as u64, req.line.raw(), req.stream, i as u64);
+                            }
+                            InsertOutcome::Duplicate => {
+                                rec.drop_unbuffered(i as u64, req.line.raw(), req.stream, 1);
+                            }
+                            InsertOutcome::Evicted(victim) => {
+                                rec.evict_unused(i as u64, victim.line.raw(), victim.stream);
+                                rec.fill(i as u64, req.line.raw(), req.stream, i as u64);
+                            }
+                        }
+                    }
+                } else if let Some(rec) = tel.tracer() {
+                    // Already in the L1: the engine drops the request.
+                    rec.drop_unbuffered(i as u64, req.line.raw(), req.stream, 2);
+                }
+            }
+            if measuring {
+                report.meta_read_blocks += sink.meta_read_blocks;
+                report.meta_write_blocks += sink.meta_write_blocks;
+            }
+            if tel.tick() {
+                tel.snapshot(|row| emit_coverage_row(row, report, l1, buffer, &*prefetcher));
+            }
         }
-        let mut driver = CoverageDriver {
-            l1: &self.l1,
-            lanes: &self.lanes,
-            buffer: &mut self.buffer,
-            report: &mut self.report,
-            run: &mut self.run,
-            measuring,
-            idx: &self.trig.idx,
-            lines: &self.trig.lines,
-            pcs: &self.trig.pcs,
-            reads: &self.trig.reads,
-            cursor: 0,
-            digest: self.digest.as_mut(),
-        };
-        prefetcher.train_predict_batch(&mut driver, &mut self.sink);
-        debug_assert_eq!(
-            driver.cursor,
-            self.trig.len(),
-            "train_predict_batch must drain the batch"
-        );
     }
 
     /// Closes the run: records the trailing covered-run length and
-    /// charges leftover buffered prefetches as overpredictions, exactly
-    /// like the scalar engine's epilogue.
-    pub fn finish(mut self) -> CoverageReport {
+    /// charges leftover buffered prefetches as overpredictions.
+    pub fn finish(self) -> CoverageReport {
+        self.close().0
+    }
+
+    /// [`CoverageSession::finish`] for an observed session: flushes the
+    /// final partial epoch (the row carries `prefetcher`'s counters)
+    /// and hands the telemetry handle back.
+    pub fn finish_observed(mut self, prefetcher: &dyn Prefetcher) -> (CoverageReport, Telemetry) {
+        let (report, l1, buffer) = (&self.report, &*self.l1, &*self.buffer);
+        self.tel
+            .flush(|row| emit_coverage_row(row, report, l1, buffer, prefetcher));
+        self.close()
+    }
+
+    fn close(mut self) -> (CoverageReport, Telemetry) {
         if self.run > 0 {
             self.report.stream_lengths.record(self.run);
         }
         let stats = self.buffer.stats();
+        // Everything still sitting in the buffer at the end was never
+        // used; warmup-era overpredictions are excluded.
         self.report.overpredictions =
             (stats.overpredictions() - self.warmup_overpredictions) + self.buffer.len() as u64;
-        self.report
+        (self.report, self.tel)
     }
 }
 
+/// Folds one trigger and the prefetcher's response into the decision
+/// digest.
+fn fold_decision(h: &mut u64, covered: bool, trigger: &TriggerEvent, sink: &CollectSink) {
+    fold(h, u64::from(covered));
+    fold(h, trigger.pc.raw());
+    fold(h, trigger.line.raw());
+    for &stream in &sink.discarded_streams {
+        fold(h, 0x10);
+        fold(h, u64::from(stream));
+    }
+    for req in &sink.requests {
+        fold(h, 0x20);
+        fold(h, req.line.raw());
+        fold(h, u64::from(req.delay_trips));
+        fold(h, req.stream.map_or(u64::MAX, u64::from));
+    }
+    for &line in &sink.replaced {
+        fold(h, 0x30);
+        fold(h, line.raw());
+    }
+    fold(h, sink.meta_read_blocks);
+    fold(h, sink.meta_write_blocks);
+}
+
 /// Runs a whole trace through a [`CoverageSession`] with the decision
-/// digest enabled, stepping in `batch`-sized increments, and returns the
-/// report plus digest — the single-tenant reference side of the
-/// service-equivalence oracle.
+/// digest enabled and returns the report plus digest — the
+/// single-tenant reference side of the service-equivalence oracle.
+///
+/// `_batch` is ignored (the session is partition-invariant). It only
+/// keeps the benchmark harness's call signature and goes with the next
+/// change to the benchmark.
 pub fn run_coverage_session(
     system: &SystemConfig,
     trace: &[AccessEvent],
     prefetcher: &mut dyn Prefetcher,
-    batch: usize,
+    _batch: usize,
 ) -> (CoverageReport, u64) {
     let mut session = CoverageSession::new(system, prefetcher.name(), 0);
     session.enable_digest();
     prefetcher.reserve(trace.len());
-    let step = batch.max(1);
-    let n = trace.len();
-    let mut s = 0usize;
-    while s < n {
-        let e = (s + step).min(n);
-        session.step(prefetcher, trace, e);
-        s = e;
-    }
+    session.feed(prefetcher, trace);
     let digest = session.digest();
     (session.finish(), digest)
 }
 
-/// The batched structure-of-arrays loop: one fused pre-pass per
-/// fixed-size chunk ([`L1Lanes::stage_coverage`]) advances the L1,
-/// compacts the misses into trigger lanes, and counts the hits, then
-/// the whole chunk goes to the prefetcher via
-/// [`Prefetcher::train_predict_batch`]. Byte-identical to
-/// [`run_coverage_scalar`] by construction; the `domino-check`
-/// batched-vs-scalar oracle enforces it. Implemented on
-/// [`CoverageSession`], which owns the chunk mechanics.
-fn run_coverage_batched(
-    system: &SystemConfig,
-    trace: &[AccessEvent],
-    prefetcher: &mut dyn Prefetcher,
-    warmup: usize,
-    batch: usize,
-) -> CoverageReport {
-    let mut session = CoverageSession::new(system, prefetcher.name(), warmup);
-    prefetcher.reserve(trace.len());
-    let n = trace.len();
-    let mut s = 0usize;
-    while s < n {
-        let e = (s + batch).min(n);
-        session.step(prefetcher, trace, e);
-        s = e;
-    }
-    session.finish()
-}
-
-/// The batched coverage loop over a streaming [`EventSource`]: identical
-/// decision sequence to [`run_coverage_with_batch`] on the materialized
-/// trace (the session is partition-invariant, and staging is offset-aware
-/// via [`L1Lanes::stage_coverage_at`]), but only one source chunk of
-/// events is resident at a time. The streaming parity oracle in
-/// `domino-check` holds this byte-identical to the cached path for every
+/// [`run_coverage_warmed`] over a streaming [`EventSource`]: the same
+/// session loop fed one source chunk at a time, so the report is
+/// byte-identical to the cached-slice run over the same events. The
+/// streaming parity oracle in `domino-check` holds it so for every
 /// roster system.
+///
+/// `_batch` is ignored; like [`run_coverage_session`]'s it only keeps
+/// the benchmark harness's call signature.
 ///
 /// # Errors
 ///
@@ -792,32 +635,17 @@ pub fn run_coverage_streamed(
     source: &mut dyn EventSource,
     prefetcher: &mut dyn Prefetcher,
     warmup: usize,
-    batch: usize,
+    _batch: usize,
 ) -> Result<CoverageReport, TraceFileError> {
     let mut session = CoverageSession::new(system, prefetcher.name(), warmup);
-    prefetcher.reserve(source.total_events() as usize);
-    let step = batch.max(1);
-    let mut chunk = Vec::new();
-    loop {
-        let n = source.next_chunk(&mut chunk)?;
-        if n == 0 {
-            break;
-        }
-        // Re-split at batch granularity so the staged chunk size matches
-        // the cached batched run exactly (any split is byte-identical;
-        // matching sizes keeps the performance profile comparable too).
-        let mut off = 0usize;
-        while off < n {
-            let e = (off + step).min(n);
-            session.feed(prefetcher, &chunk[off..e]);
-            off = e;
-        }
-    }
+    prefetcher.reserve(usize::try_from(source.total_events()).unwrap_or(usize::MAX));
+    session.feed_source(prefetcher, source)?;
     Ok(session.finish())
 }
 
-/// Streamed twin of [`run_coverage_session`]: digest-enabled, no warmup,
-/// `batch`-sized steps — the streaming side of the parity oracle.
+/// Streamed twin of [`run_coverage_session`]: digest-enabled, no
+/// warmup — the streaming side of the parity oracle. `_batch` is
+/// ignored.
 ///
 /// # Errors
 ///
@@ -826,25 +654,12 @@ pub fn run_coverage_streamed_session(
     system: &SystemConfig,
     source: &mut dyn EventSource,
     prefetcher: &mut dyn Prefetcher,
-    batch: usize,
+    _batch: usize,
 ) -> Result<(CoverageReport, u64), TraceFileError> {
     let mut session = CoverageSession::new(system, prefetcher.name(), 0);
     session.enable_digest();
-    prefetcher.reserve(source.total_events() as usize);
-    let step = batch.max(1);
-    let mut chunk = Vec::new();
-    loop {
-        let n = source.next_chunk(&mut chunk)?;
-        if n == 0 {
-            break;
-        }
-        let mut off = 0usize;
-        while off < n {
-            let e = (off + step).min(n);
-            session.feed(prefetcher, &chunk[off..e]);
-            off = e;
-        }
-    }
+    prefetcher.reserve(usize::try_from(source.total_events()).unwrap_or(usize::MAX));
+    session.feed_source(prefetcher, source)?;
     let digest = session.digest();
     Ok((session.finish(), digest))
 }
@@ -857,8 +672,7 @@ pub fn baseline_miss_sequence(system: &SystemConfig, trace: &[AccessEvent]) -> V
     let mut out = Vec::new();
     for ev in trace {
         let line = ev.line();
-        if !l1.access(line) {
-            l1.insert(line);
+        if !l1.access_insert(line).0 {
             out.push(line.raw());
         }
     }
@@ -1008,30 +822,35 @@ mod tests {
     }
 
     #[test]
-    fn batched_coverage_is_byte_identical_to_scalar() {
+    fn session_step_size_never_changes_the_report() {
         let spec = catalog::oltp();
         let trace: Vec<_> = spec.generator(17).take(30_000).collect();
         for warmup in [0usize, 10_000, 29_999] {
-            let mut scalar_p = Stms::new(TemporalConfig::default());
-            let scalar = run_coverage_with_batch(&system(), &trace, &mut scalar_p, warmup, 1);
-            for batch in [2u32, 7, 64, 4096] {
+            let mut whole_p = Stms::new(TemporalConfig::default());
+            let whole = run_coverage_warmed(&system(), &trace, &mut whole_p, warmup);
+            for step in [1usize, 7, 64, 4096] {
                 let mut p = Stms::new(TemporalConfig::default());
-                let batched = run_coverage_with_batch(&system(), &trace, &mut p, warmup, batch);
+                let mut session = CoverageSession::new(&system(), p.name(), warmup);
+                p.reserve(trace.len());
+                for chunk in trace.chunks(step) {
+                    session.feed(&mut p, chunk);
+                }
+                let stepped = session.finish();
                 assert_eq!(
-                    format!("{scalar:?}"),
-                    format!("{batched:?}"),
-                    "batch {batch}, warmup {warmup}"
+                    format!("{whole:?}"),
+                    format!("{stepped:?}"),
+                    "step {step}, warmup {warmup}"
                 );
             }
         }
     }
 
     #[test]
-    fn session_steps_of_any_size_match_scalar() {
+    fn session_ragged_steps_match_a_whole_trace_run() {
         let spec = catalog::oltp();
         let trace: Vec<_> = spec.generator(23).take(20_000).collect();
-        let mut scalar_p = Stms::new(TemporalConfig::default());
-        let scalar = run_coverage_with_batch(&system(), &trace, &mut scalar_p, 0, 1);
+        let mut whole_p = Stms::new(TemporalConfig::default());
+        let whole = run_coverage(&system(), &trace, &mut whole_p);
         // Feed the session in ragged increments (growing, then tiny).
         let mut p = Stms::new(TemporalConfig::default());
         let mut session = CoverageSession::new(&system(), p.name(), 0);
@@ -1045,7 +864,7 @@ mod tests {
             stride = (stride * 3 + 1) % 977 + 1;
         }
         let report = session.finish();
-        assert_eq!(format!("{scalar:?}"), format!("{report:?}"));
+        assert_eq!(format!("{whole:?}"), format!("{report:?}"));
     }
 
     #[test]
@@ -1054,21 +873,28 @@ mod tests {
         let trace: Vec<_> = spec.generator(13).take(15_000).collect();
         let mut digests = Vec::new();
         let mut reports = Vec::new();
-        for batch in [1usize, 7, 64, 4096] {
+        for step in [1usize, 7, 64, 4096] {
             let mut p = Stms::new(TemporalConfig::default());
-            let (report, digest) = run_coverage_session(&system(), &trace, &mut p, batch);
-            digests.push(digest);
-            reports.push(format!("{report:?}"));
+            let mut session = CoverageSession::new(&system(), p.name(), 0);
+            session.enable_digest();
+            for chunk in trace.chunks(step) {
+                session.feed(&mut p, chunk);
+            }
+            digests.push(session.digest());
+            reports.push(format!("{:?}", session.finish()));
         }
         assert!(
             digests.windows(2).all(|w| w[0] == w[1]),
             "digests diverge across partitions: {digests:?}"
         );
         assert!(reports.windows(2).all(|w| w[0] == w[1]));
+        let mut p = Stms::new(TemporalConfig::default());
+        let (_, whole) = run_coverage_session(&system(), &trace, &mut p, 0);
+        assert_eq!(whole, digests[0]);
         // The digest actually covers decisions: a different trace (or a
         // truncated one) must not collide.
         let mut p = Stms::new(TemporalConfig::default());
-        let (_, shorter) = run_coverage_session(&system(), &trace[..14_000], &mut p, 64);
+        let (_, shorter) = run_coverage_session(&system(), &trace[..14_000], &mut p, 0);
         assert_ne!(shorter, digests[0]);
     }
 

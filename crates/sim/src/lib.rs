@@ -38,7 +38,6 @@ pub(crate) fn mutate_active(name: &str) -> bool {
         .unwrap_or(false)
 }
 
-pub(crate) mod batch;
 pub mod config;
 pub mod engine;
 pub mod exec;
@@ -56,15 +55,12 @@ pub mod trace_cache;
 pub use config::SystemConfig;
 pub use engine::{
     baseline_miss_sequence, run_coverage, run_coverage_observed, run_coverage_session,
-    run_coverage_streamed, run_coverage_streamed_session, run_coverage_with_batch, CoverageReport,
-    CoverageSession,
+    run_coverage_streamed, run_coverage_streamed_session, CoverageReport, CoverageSession,
 };
 pub use figures::Scale;
-pub use multicore::{run_homogeneous, run_multicore, run_multicore_with_batch, MulticoreReport};
+pub use multicore::{run_homogeneous, run_multicore, MulticoreReport};
 pub use report::FigureTable;
 pub use roster::System;
 pub use stats::Sample;
-pub use timing::{
-    run_timing, run_timing_observed, run_timing_streamed, run_timing_with_batch, TimingReport,
-};
+pub use timing::{run_timing, run_timing_observed, run_timing_streamed, TimingReport};
 pub use trace_cache::{shared_file_trace, shared_miss_sequence, shared_trace};

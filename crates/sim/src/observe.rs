@@ -33,16 +33,6 @@ static EPOCH_OVERRIDE: AtomicU64 = AtomicU64::new(0);
 /// to `DOMINO_TRACE`, `u64::MAX` = explicitly off, else ring capacity).
 static TRACE_OVERRIDE: AtomicU64 = AtomicU64::new(0);
 
-/// `--batch` override; same encoding again (0 = fall back to
-/// `DOMINO_BATCH`, `u64::MAX` = explicitly scalar, else batch size).
-static BATCH_OVERRIDE: AtomicU64 = AtomicU64::new(0);
-
-/// Default event-batch size of the structure-of-arrays hot path. 64
-/// events per chunk keeps every lane (lines, hit flags, membership
-/// deltas) inside L1 while amortizing the staging pre-pass; measured as
-/// the knee of the throughput curve on the figure sweep.
-pub const DEFAULT_BATCH: u32 = 64;
-
 /// Reports deposited by sweep cells, in completion order.
 static COLLECTED: Mutex<Vec<RunReport>> = Mutex::new(Vec::new());
 
@@ -106,35 +96,15 @@ pub fn trace_capacity() -> Option<u64> {
     }
 }
 
-/// Sets (or clears) the event-batch-size override. `Some(0)` and
-/// `Some(1)` are normalised to "explicitly scalar". Takes precedence
-/// over `DOMINO_BATCH`.
-pub fn set_batch_override(batch: Option<u32>) {
-    let coded = match batch {
-        None => 0,
-        Some(0) | Some(1) => u64::MAX,
-        Some(n) => u64::from(n),
-    };
-    BATCH_OVERRIDE.store(coded, Ordering::SeqCst);
-}
-
-/// The effective event-batch size for the engines' hot path: the
-/// override if set, else `DOMINO_BATCH`, else [`DEFAULT_BATCH`].
-/// `1` means the scalar one-event-at-a-time loop.
-pub fn batch_size() -> u32 {
-    match BATCH_OVERRIDE.load(Ordering::SeqCst) {
-        0 => std::env::var("DOMINO_BATCH")
-            .ok()
-            .and_then(|v| v.trim().parse::<u32>().ok())
-            .map(|n| n.max(1))
-            .unwrap_or(DEFAULT_BATCH),
-        u64::MAX => 1,
-        n => n as u32,
-    }
+/// Events the engines step at a time: always 1, since each engine has
+/// one per-event loop. Kept only because the benchmark harness still
+/// calls it; it goes with the next change to the benchmark.
+pub const fn batch_size() -> u32 {
+    1
 }
 
 /// Whether any observation (epoch telemetry or tracing) is enabled —
-/// the gate figure runners use to pick the observed code path.
+/// the gate figure runners use to decide whether to collect reports.
 pub fn observing() -> bool {
     epoch().is_some() || trace_capacity().is_some()
 }
@@ -301,20 +271,6 @@ mod tests {
         set_epoch_override(Some(0));
         assert_eq!(epoch(), None, "Some(0) means explicitly off");
         set_epoch_override(None);
-    }
-
-    #[test]
-    fn batch_override_normalises_scalar_and_clears() {
-        set_batch_override(Some(7));
-        assert_eq!(batch_size(), 7);
-        set_batch_override(Some(1));
-        assert_eq!(batch_size(), 1, "Some(1) means explicitly scalar");
-        set_batch_override(Some(0));
-        assert_eq!(batch_size(), 1, "Some(0) means explicitly scalar");
-        set_batch_override(None);
-        if std::env::var("DOMINO_BATCH").is_err() {
-            assert_eq!(batch_size(), DEFAULT_BATCH);
-        }
     }
 
     #[test]

@@ -48,43 +48,8 @@ use domino_trace::addr::LINE_BYTES;
 use domino_trace::event::AccessEvent;
 use domino_trace::stream::{EventSource, TraceFileError};
 
-use crate::batch::L1Lanes;
 use crate::config::SystemConfig;
 use crate::scratch;
-
-/// How [`CoreEngine::step`] sees the L1 for one event.
-///
-/// The batched hot path pre-advances the L1 over a whole staged span
-/// ([`L1Lanes::stage`]) before stepping any event, which is exact
-/// because prefetches never fill the L1 (see [`crate::batch`]). `step`
-/// then reads the staged hit flag instead of probing the cache, skips
-/// the (already performed) demand fill, and answers dropped-request
-/// membership queries through the staging delta map.
-#[derive(Clone, Copy)]
-pub(crate) enum L1View<'s> {
-    /// Probe and fill the live cache per event (the scalar path).
-    Live,
-    /// Probe-and-fill in one fused scan at the probe point
-    /// ([`SetAssocCache::access_insert`]). Exact because nothing
-    /// between the scalar loop's probe and its demand fill reads the
-    /// L1, so hoisting the fill to the probe is unobservable — and the
-    /// dropped-request gate then reads live post-fill state, exactly
-    /// what the scalar gate reads. The single-core batched timing loop
-    /// uses this: it pays neither the second scan of a separate
-    /// `insert` nor any staging bookkeeping.
-    Fused,
-    /// The event's L1 outcome was staged ahead of time (a whole span
-    /// was pre-advanced, so membership queries go through the staging
-    /// delta map). The multicore interleave uses this.
-    Staged {
-        /// Absolute trace index of the event (delta-map query point).
-        idx: u32,
-        /// Staged demand outcome: `true` = L1 hit.
-        hit: bool,
-        /// The staged span covering this event.
-        lanes: &'s L1Lanes,
-    },
-}
 
 /// Result of a timing run.
 #[derive(Debug, Clone)]
@@ -248,26 +213,8 @@ impl<'a> CoreEngine<'a> {
         ));
     }
 
-    /// Stages the L1 outcomes of `trace[start..end]` into `lanes` (the
-    /// batched paths' pre-pass over this core's private L1).
-    pub(crate) fn stage_span(
-        &mut self,
-        lanes: &mut L1Lanes,
-        trace: &[AccessEvent],
-        start: usize,
-        end: usize,
-    ) {
-        lanes.stage(&mut self.l1, trace, start, end);
-    }
-
     /// Processes one trace event against the shared LLC and channel.
-    pub(crate) fn step(
-        &mut self,
-        ev: &AccessEvent,
-        view: L1View<'_>,
-        l2: &mut SetAssocCache,
-        dram: &mut Dram,
-    ) {
+    pub(crate) fn step(&mut self, ev: &AccessEvent, l2: &mut SetAssocCache, dram: &mut Dram) {
         let report = &mut self.report;
         report.instructions += u64::from(ev.gap_insts) + 1;
         self.now += f64::from(ev.gap_insts) * self.per_inst;
@@ -285,12 +232,10 @@ impl<'a> CoreEngine<'a> {
         }
         self.mshrs.retire_until(self.now);
         let line = ev.line();
-        let l1_hit = match view {
-            L1View::Live => self.l1.access(line),
-            L1View::Fused => self.l1.access_insert(line).0,
-            L1View::Staged { hit, .. } => hit,
-        };
-        if l1_hit {
+        // Probe and demand-fill in one scan: nothing between the probe
+        // and the fill reads the L1, and prefetches never fill it, so
+        // hoisting the fill to the probe is exact.
+        if self.l1.access_insert(line).0 {
             return;
         }
         // Demand miss: resolve when its data is available.
@@ -398,11 +343,6 @@ impl<'a> CoreEngine<'a> {
             self.rob_q
                 .push_back((report.instructions + self.rob, data_ready));
         }
-        if matches!(view, L1View::Live) {
-            // Fused probes and staged spans already performed the
-            // demand fill.
-            self.l1.insert(line);
-        }
         // Drive the prefetcher.
         self.sink.clear();
         let trigger = if covered {
@@ -449,11 +389,7 @@ impl<'a> CoreEngine<'a> {
             if let Some(rec) = self.tel.tracer() {
                 rec.issue(now_ts, req.line.raw(), req.stream, req.delay_trips);
             }
-            let in_l1 = match view {
-                L1View::Live | L1View::Fused => self.l1.contains(req.line),
-                L1View::Staged { idx, lanes, .. } => lanes.contains_at(&self.l1, idx, req.line),
-            };
-            if in_l1 {
+            if self.l1.contains(req.line) {
                 if let Some(rec) = self.tel.tracer() {
                     // Already in the L1: the engine drops the request.
                     rec.drop_unbuffered(now_ts, req.line.raw(), req.stream, 2);
@@ -572,14 +508,71 @@ pub fn run_timing_warmed(
     run_timing_observed(system, trace, prefetcher, warmup, &mut Telemetry::off())
 }
 
+/// One single-core timing run: the core, its shared LLC and channel,
+/// and the cross-core pollution chain, stepped event by event in
+/// absolute trace order whatever the chunking of the input.
+struct SingleCore<'a> {
+    engine: CoreEngine<'a>,
+    l2: scratch::Pooled<SetAssocCache>,
+    dram: Dram,
+    /// Xorshift state of the other (unsimulated) cores' LLC fills.
+    pollute_state: u64,
+    /// Two fills per other core per event: server consolidation keeps
+    /// the shared LLC under constant pressure (each core's miss rate
+    /// matches ours, and instruction/OS footprints add more).
+    pollute_per_event: usize,
+    warmup: usize,
+    /// Absolute index of the next event.
+    seen: usize,
+}
+
+impl<'a> SingleCore<'a> {
+    fn new(
+        system: &SystemConfig,
+        prefetcher: &'a mut dyn Prefetcher,
+        warmup: usize,
+        tel: &'a mut Telemetry,
+    ) -> Self {
+        SingleCore {
+            l2: scratch::cache(system.l2),
+            dram: Dram::new(system.memory),
+            engine: CoreEngine::new(system, prefetcher, tel),
+            pollute_state: 0x1234_5678_9abc_def1,
+            pollute_per_event: 2 * (system.cores - 1) as usize,
+            warmup,
+            seen: 0,
+        }
+    }
+
+    fn feed(&mut self, events: &[AccessEvent]) {
+        for ev in events {
+            if self.seen == self.warmup && self.warmup > 0 {
+                self.engine.mark_measurement_start();
+            }
+            for _ in 0..self.pollute_per_event {
+                self.pollute_state ^= self.pollute_state << 13;
+                self.pollute_state ^= self.pollute_state >> 7;
+                self.pollute_state ^= self.pollute_state << 17;
+                self.l2.insert(domino_trace::addr::LineAddr::new(
+                    0x0F00_0000_0000 | (self.pollute_state & 0xFFFF_FFFF),
+                ));
+            }
+            self.engine.step(ev, &mut self.l2, &mut self.dram);
+            self.seen += 1;
+        }
+    }
+
+    fn finish(mut self) -> TimingReport {
+        self.engine.flush_telemetry(&self.dram);
+        let traffic = self.dram.traffic();
+        self.engine.finish(traffic)
+    }
+}
+
 /// [`run_timing_warmed`] with a telemetry handle: per-epoch snapshots of
 /// the core, caches, MSHRs, and shared channel, plus metadata round-trip
-/// latency and MSHR-occupancy histograms.
-///
-/// As with the coverage engine, unobserved runs take the batched
-/// structure-of-arrays path at the effective
-/// [`crate::observe::batch_size`]; observed runs stay scalar. The
-/// reports are byte-identical either way.
+/// latency and MSHR-occupancy histograms. Observed and unobserved runs
+/// execute the same event loop.
 pub fn run_timing_observed(
     system: &SystemConfig,
     trace: &[AccessEvent],
@@ -587,226 +580,35 @@ pub fn run_timing_observed(
     warmup: usize,
     tel: &mut Telemetry,
 ) -> TimingReport {
-    let batch = crate::observe::batch_size();
-    if batch > 1 && !tel.is_on() && !tel.has_tracer() {
-        run_timing_batched(system, trace, prefetcher, warmup, batch as usize)
-    } else {
-        run_timing_scalar(system, trace, prefetcher, warmup, tel)
-    }
-}
-
-/// [`run_timing`] at an explicit batch size, ignoring the process-wide
-/// knob (`batch = 1` forces the scalar loop) — the batched-vs-scalar
-/// differential checker's entry point.
-pub fn run_timing_with_batch(
-    system: &SystemConfig,
-    trace: &[AccessEvent],
-    prefetcher: &mut dyn Prefetcher,
-    warmup: usize,
-    batch: u32,
-) -> TimingReport {
-    if batch > 1 {
-        run_timing_batched(system, trace, prefetcher, warmup, batch as usize)
-    } else {
-        run_timing_scalar(system, trace, prefetcher, warmup, &mut Telemetry::off())
-    }
-}
-
-/// How many pollution inserts ahead the batched timing loop prefetches
-/// the LLC slab. Far enough to cover a host-memory round trip, close
-/// enough that the touched sets are still cached when the insert runs.
-const POLLUTE_PREFETCH_AHEAD: usize = 16;
-
-/// The batched timing loop: per chunk, one SoA pass precomputes the
-/// cross-core pollution RNG chain (it depends on nothing else) and
-/// host-prefetches the LLC sets it will touch — the pollution lines
-/// are uniform over a slab far larger than the host's L1, so the
-/// scalar loop stalls on a cold set per insert. Events then step with
-/// a fused L1 probe-and-fill ([`L1View::Fused`]): one scan where the
-/// scalar loop pays a probe scan plus a fill scan per miss. Every
-/// simulated interaction (pollution inserts, DRAM, MSHRs) happens in
-/// the exact scalar order.
-fn run_timing_batched(
-    system: &SystemConfig,
-    trace: &[AccessEvent],
-    prefetcher: &mut dyn Prefetcher,
-    warmup: usize,
-    batch: usize,
-) -> TimingReport {
-    let mut l2 = scratch::cache(system.l2);
-    let mut dram = Dram::new(system.memory);
     prefetcher.reserve(trace.len());
-    let mut pollute_state: u64 = 0x1234_5678_9abc_def1;
-    let pollute_per_event = 2 * (system.cores - 1) as usize;
-    let mut tel = Telemetry::off();
-    let mut engine = CoreEngine::new(system, prefetcher, &mut tel);
-    // The chunk's pollution lines, precomputed per chunk and reused
-    // across chunks.
-    let mut pollute_lines: Vec<domino_trace::addr::LineAddr> = Vec::new();
-    let n = trace.len();
-    let mut s = 0usize;
-    while s < n {
-        // Chunks break at the warmup boundary so the measurement mark
-        // lands exactly where the scalar loop places it.
-        let mut e = (s + batch).min(n);
-        if s < warmup && e > warmup {
-            e = warmup;
-        }
-        if s == warmup && warmup > 0 {
-            engine.mark_measurement_start();
-        }
-        step_timing_span(
-            &mut engine,
-            &mut l2,
-            &mut dram,
-            &mut pollute_state,
-            &mut pollute_lines,
-            pollute_per_event,
-            &trace[s..e],
-        );
-        s = e;
-    }
-    let traffic = dram.traffic();
-    engine.finish(traffic)
+    let mut core = SingleCore::new(system, prefetcher, warmup, tel);
+    core.feed(trace);
+    core.finish()
 }
 
-/// One batched-timing span: extend the pollution chain for
-/// `events.len()` events, host-prefetch the touched LLC sets, then step
-/// each event in exact scalar order. Shared by the cached-slice and
-/// streamed batched loops — the chain state carries across spans, so
-/// span boundaries are unobservable in the simulated state.
-fn step_timing_span(
-    engine: &mut CoreEngine<'_>,
-    l2: &mut SetAssocCache,
-    dram: &mut Dram,
-    pollute_state: &mut u64,
-    pollute_lines: &mut Vec<domino_trace::addr::LineAddr>,
-    pollute_per_event: usize,
-    events: &[AccessEvent],
-) {
-    pollute_lines.clear();
-    for _ in 0..events.len() * pollute_per_event {
-        *pollute_state ^= *pollute_state << 13;
-        *pollute_state ^= *pollute_state >> 7;
-        *pollute_state ^= *pollute_state << 17;
-        pollute_lines.push(domino_trace::addr::LineAddr::new(
-            0x0F00_0000_0000 | (*pollute_state & 0xFFFF_FFFF),
-        ));
-    }
-    for l in pollute_lines.iter().take(POLLUTE_PREFETCH_AHEAD) {
-        l2.prefetch_set(*l);
-    }
-    for (off, ev) in events.iter().enumerate() {
-        let base = off * pollute_per_event;
-        for (k, &line) in pollute_lines[base..base + pollute_per_event]
-            .iter()
-            .enumerate()
-        {
-            if let Some(&ahead) = pollute_lines.get(base + k + POLLUTE_PREFETCH_AHEAD) {
-                l2.prefetch_set(ahead);
-            }
-            l2.insert(line);
-        }
-        engine.step(ev, L1View::Fused, l2, dram);
-    }
-}
-
-/// [`run_timing_with_batch`] over an [`EventSource`]: pulls fixed-size
-/// chunks from the source and re-splits them at the batch size and the
-/// absolute warmup boundary. Every simulated state transition (the
-/// pollution chain, cache fills, DRAM, the prefetcher) happens in exact
-/// scalar order with state carried across chunks, so the report is
-/// byte-identical to the cached-slice loops — only the source's chunk
-/// buffers and the current span are ever resident.
+/// [`run_timing_warmed`] over an [`EventSource`], one source chunk at a
+/// time. Every simulated state transition (the pollution chain, cache
+/// fills, DRAM, the prefetcher) happens in the same order as in the
+/// cached-slice run, with state carried across chunks, so the report is
+/// byte-identical — only the source's chunk buffers are ever resident.
+///
+/// # Errors
+///
+/// Propagates decode/I/O errors from the source.
 pub fn run_timing_streamed(
     system: &SystemConfig,
     source: &mut dyn EventSource,
     prefetcher: &mut dyn Prefetcher,
     warmup: usize,
-    batch: usize,
 ) -> Result<TimingReport, TraceFileError> {
-    let batch = batch.max(1);
-    let mut l2 = scratch::cache(system.l2);
-    let mut dram = Dram::new(system.memory);
     prefetcher.reserve(usize::try_from(source.total_events()).unwrap_or(usize::MAX));
-    let mut pollute_state: u64 = 0x1234_5678_9abc_def1;
-    let pollute_per_event = 2 * (system.cores - 1) as usize;
     let mut tel = Telemetry::off();
-    let mut engine = CoreEngine::new(system, prefetcher, &mut tel);
-    let mut pollute_lines: Vec<domino_trace::addr::LineAddr> = Vec::new();
+    let mut core = SingleCore::new(system, prefetcher, warmup, &mut tel);
     let mut chunk: Vec<AccessEvent> = Vec::new();
-    // Absolute index of the first event of the current chunk.
-    let mut seen = 0usize;
-    loop {
-        let n = source.next_chunk(&mut chunk)?;
-        if n == 0 {
-            break;
-        }
-        let mut off = 0usize;
-        while off < n {
-            let s = seen + off;
-            // Spans break at the warmup boundary so the measurement
-            // mark lands exactly where the scalar loop places it.
-            let mut e = (off + batch).min(n);
-            if s < warmup && seen + e > warmup {
-                e = warmup - seen;
-            }
-            if s == warmup && warmup > 0 {
-                engine.mark_measurement_start();
-            }
-            step_timing_span(
-                &mut engine,
-                &mut l2,
-                &mut dram,
-                &mut pollute_state,
-                &mut pollute_lines,
-                pollute_per_event,
-                &chunk[off..e],
-            );
-            off = e;
-        }
-        seen += n;
+    while source.next_chunk(&mut chunk)? > 0 {
+        core.feed(&chunk);
     }
-    let traffic = dram.traffic();
-    Ok(engine.finish(traffic))
-}
-
-/// The scalar one-event-at-a-time timing loop (and the only loop that
-/// supports telemetry and tracing).
-fn run_timing_scalar(
-    system: &SystemConfig,
-    trace: &[AccessEvent],
-    prefetcher: &mut dyn Prefetcher,
-    warmup: usize,
-    tel: &mut Telemetry,
-) -> TimingReport {
-    let mut l2 = scratch::cache(system.l2);
-    let mut dram = Dram::new(system.memory);
-    prefetcher.reserve(trace.len());
-    // Cross-core LLC pollution state (other cores' fills). Two fills per
-    // other core per event: server consolidation keeps the shared LLC
-    // under constant pressure (each core's miss rate matches ours, and
-    // instruction/OS footprints add more).
-    let mut pollute_state: u64 = 0x1234_5678_9abc_def1;
-    let pollute_per_event = 2 * (system.cores - 1) as usize;
-    let mut engine = CoreEngine::new(system, prefetcher, tel);
-    for (i, ev) in trace.iter().enumerate() {
-        if i == warmup && warmup > 0 {
-            engine.mark_measurement_start();
-        }
-        for _ in 0..pollute_per_event {
-            pollute_state ^= pollute_state << 13;
-            pollute_state ^= pollute_state >> 7;
-            pollute_state ^= pollute_state << 17;
-            l2.insert(domino_trace::addr::LineAddr::new(
-                0x0F00_0000_0000 | (pollute_state & 0xFFFF_FFFF),
-            ));
-        }
-        engine.step(ev, L1View::Live, &mut l2, &mut dram);
-    }
-    engine.flush_telemetry(&dram);
-    let traffic = dram.traffic();
-    engine.finish(traffic)
+    Ok(core.finish())
 }
 
 #[cfg(test)]
@@ -815,6 +617,7 @@ mod tests {
     use domino_mem::interface::NoPrefetcher;
     use domino_prefetchers::{Stms, TemporalConfig};
     use domino_trace::addr::{Addr, Pc};
+    use domino_trace::stream::SliceSource;
     use domino_trace::workload::catalog;
 
     fn system() -> SystemConfig {
@@ -905,19 +708,21 @@ mod tests {
     }
 
     #[test]
-    fn batched_timing_is_byte_identical_to_scalar() {
+    fn streamed_chunk_size_never_changes_the_report() {
         let spec = catalog::oltp();
         let trace: Vec<_> = spec.generator(13).take(25_000).collect();
         for warmup in [0usize, 9_000] {
-            let mut scalar_p = Stms::new(TemporalConfig::default());
-            let scalar = run_timing_with_batch(&system(), &trace, &mut scalar_p, warmup, 1);
-            for batch in [2u32, 7, 64, 4096] {
+            let mut whole_p = Stms::new(TemporalConfig::default());
+            let whole = run_timing_warmed(&system(), &trace, &mut whole_p, warmup);
+            for chunk in [1u32, 7, 64, 4096] {
+                let mut source = SliceSource::new(trace.clone().into(), chunk);
                 let mut p = Stms::new(TemporalConfig::default());
-                let batched = run_timing_with_batch(&system(), &trace, &mut p, warmup, batch);
+                let streamed = run_timing_streamed(&system(), &mut source, &mut p, warmup)
+                    .expect("slice sources cannot fail");
                 assert_eq!(
-                    format!("{scalar:?}"),
-                    format!("{batched:?}"),
-                    "batch {batch}, warmup {warmup}"
+                    format!("{whole:?}"),
+                    format!("{streamed:?}"),
+                    "chunk {chunk}, warmup {warmup}"
                 );
             }
         }

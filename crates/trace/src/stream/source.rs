@@ -2,9 +2,9 @@
 //!
 //! An [`EventSource`] hands out the trace as consecutive chunks of
 //! [`AccessEvent`]s. The engines (`run_coverage_streamed`,
-//! `run_timing_streamed` in `domino-sim`) are chunk-agnostic — the batched
-//! SoA loop is byte-identical under any partition of the trace — so the
-//! source only controls *where the bytes live*:
+//! `run_timing_streamed` in `domino-sim`) are chunk-agnostic — their
+//! per-event loops are byte-identical under any partition of the trace —
+//! so the source only controls *where the bytes live*:
 //!
 //! * [`SliceSource`] — an in-memory slice (the cached path, for parity
 //!   checks and as the adapter from `Arc<[AccessEvent]>`);

@@ -8,7 +8,6 @@
 //! cargo run --release --example figures -- 100000           # events/workload
 //! cargo run --release --example figures -- 100000 out_dir   # + SVG & CSV files
 //! cargo run --release --example figures -- --jobs 8         # worker threads
-//! cargo run --release --example figures -- --batch 128      # event batch size
 //! cargo run --release --example figures -- --epoch 50000    # per-epoch telemetry
 //! cargo run --release --example figures -- --trace 65536    # flight recorder
 //! ```
@@ -18,14 +17,12 @@
 //! variable, else the host's available parallelism. Output tables are
 //! byte-identical at any job count.
 //!
-//! The per-event hot path runs in SoA batches of `--batch` events
-//! (else `DOMINO_BATCH`, else a tuned default; `--batch 1` forces the
-//! scalar loop). Every table is byte-identical at any batch size — the
-//! `batched_vs_scalar` checker oracle enforces this.
+//! Each engine replays events through one per-event loop, the same
+//! whether or not telemetry or the flight recorder observes it.
 //!
 //! Each run also writes `BENCH_sweep.json` (to the output directory if
 //! one is given, else the working directory): per-figure wall-clock and
-//! replay throughput, the job count, batch size, and host core count at
+//! replay throughput, the job count and host core count at
 //! bench time — so the bench guard can refuse comparisons across
 //! different configurations — plus a jobs-1/2/4/8 scaling curve over
 //! the three heaviest figures (skipped when `--epoch`/`--trace`
@@ -55,7 +52,7 @@ use domino_repro::sim::figures::{
     fig13, fig14, fig15, fig16, rivals, rivals_roster, table1, table2, Scale,
 };
 use domino_repro::sim::{
-    exec, observe, run_timing_streamed, run_timing_with_batch, FigureTable, System, SystemConfig,
+    exec, observe, run_timing, run_timing_streamed, FigureTable, System, SystemConfig,
 };
 use domino_repro::trace::stream::{write_trace_file, Codec, EventSource, FileSource, RECORD_BYTES};
 use domino_repro::trace::workload::catalog;
@@ -104,7 +101,6 @@ fn rivals_bench(scale: &Scale) -> Vec<RivalPoint> {
         .take(bench_events)
         .collect();
     let cfg = SystemConfig::paper();
-    let batch = observe::batch_size();
     const PASSES: usize = 3;
     let roster = rivals_roster();
     let mut samples: Vec<Vec<f64>> = vec![Vec::with_capacity(PASSES); roster.len()];
@@ -112,7 +108,7 @@ fn rivals_bench(scale: &Scale) -> Vec<RivalPoint> {
         for (sys, sample) in roster.iter().zip(samples.iter_mut()) {
             let start = std::time::Instant::now();
             let mut pf = sys.build(4);
-            let _ = run_timing_with_batch(&cfg, &events, pf.as_mut(), 0, batch);
+            let _ = run_timing(&cfg, &events, pf.as_mut());
             sample.push(start.elapsed().as_secs_f64());
         }
     }
@@ -160,7 +156,6 @@ fn streaming_bench(scale: &Scale) -> (Vec<StreamingPoint>, f64) {
     write_trace_file(&seq, &events, chunk_events, Codec::Sequitur).expect("write seq trace");
 
     let cfg = SystemConfig::paper();
-    let batch = observe::batch_size();
 
     // Three interleaved passes of cached -> file -> sequitur. Hosts
     // (especially shared CI machines) drift in clock frequency between
@@ -183,7 +178,7 @@ fn streaming_bench(scale: &Scale) -> (Vec<StreamingPoint>, f64) {
     for _ in 0..PASSES {
         let start = std::time::Instant::now();
         let mut pf = System::Domino.build(4);
-        let cached = run_timing_with_batch(&cfg, &events, pf.as_mut(), 0, batch);
+        let cached = run_timing(&cfg, &events, pf.as_mut());
         let cached_secs = start.elapsed().as_secs_f64();
         cached_samples.push(cached_secs);
 
@@ -197,8 +192,8 @@ fn streaming_bench(scale: &Scale) -> (Vec<StreamingPoint>, f64) {
             let mut source = FileSource::open(path).expect("open trace");
             let start = std::time::Instant::now();
             let mut pf = System::Domino.build(4);
-            let report = run_timing_streamed(&cfg, &mut source, pf.as_mut(), 0, batch as usize)
-                .expect("stream trace");
+            let report =
+                run_timing_streamed(&cfg, &mut source, pf.as_mut(), 0).expect("stream trace");
             let secs = start.elapsed().as_secs_f64();
             samples.push(secs);
             peaks[slot] = peaks[slot].max(source.peak_resident_bytes());
@@ -248,12 +243,6 @@ fn main() {
                 .and_then(|s| s.parse().ok())
                 .expect("--jobs needs a positive integer");
             exec::set_jobs_override(Some(n));
-        } else if arg == "--batch" {
-            let n: u32 = args
-                .next()
-                .and_then(|s| s.parse().ok())
-                .expect("--batch needs a positive integer (1 = scalar)");
-            observe::set_batch_override(Some(n));
         } else if arg == "--epoch" {
             let n: u64 = args
                 .next()
@@ -452,7 +441,6 @@ fn bench_json(
     out.push_str("  \"schema\": \"domino-bench-sweep/4\",\n");
     out.push_str(&format!("  \"jobs\": {jobs},\n"));
     out.push_str(&format!("  \"host_cores\": {cores},\n"));
-    out.push_str(&format!("  \"batch\": {},\n", observe::batch_size()));
     out.push_str(&format!("  \"events_per_workload\": {events},\n"));
     out.push_str(&format!("  \"total_seconds\": {total:.3},\n"));
     out.push_str("  \"figures\": [\n");

@@ -10,11 +10,11 @@
 
 use domino_sim::roster::System;
 use domino_sim::{
-    run_coverage, run_coverage_with_batch, run_multicore, run_multicore_with_batch, run_timing,
-    run_timing_with_batch, SystemConfig,
+    run_coverage, run_multicore, run_timing, run_timing_streamed, CoverageSession, SystemConfig,
 };
 use domino_trace::addr::{Addr, Pc, LINE_BYTES};
 use domino_trace::event::{AccessEvent, AccessKind};
+use domino_trace::stream::SliceSource;
 
 const DEGREE: usize = 4;
 
@@ -122,67 +122,41 @@ fn every_system_survives_degenerate_traces() {
     }
 }
 
-/// Batch-boundary pathology: the degenerate shapes hit every edge the
-/// chunk loop has — zero chunks (empty trace), one single-event chunk,
-/// trace lengths that are not a batch multiple, and batches larger than
-/// the whole trace. Every roster system must produce byte-identical
-/// reports at batch 1 and at every other batch size.
+/// Chunk-boundary pathology: the degenerate shapes hit every edge of
+/// incremental feeding — zero chunks (empty trace), one single-event
+/// chunk, trace lengths that are not a multiple of the step, and steps
+/// larger than the whole trace. Every roster system must produce
+/// byte-identical reports whether the engines get the whole trace at
+/// once or any increment of it.
 #[test]
-fn batched_engines_match_scalar_on_degenerate_traces() {
+fn engines_are_step_size_invariant_on_degenerate_traces() {
     let cfg = SystemConfig::paper();
-    let one_core = SystemConfig {
-        cores: 1,
-        ..SystemConfig::paper()
-    };
     for (name, trace) in degenerate_traces() {
         for sys in System::all() {
             let label = sys.label();
-            let cov_scalar = format!(
+            let cov_whole = format!(
                 "{:?}",
-                run_coverage_with_batch(&cfg, &trace, sys.build(DEGREE).as_mut(), 0, 1)
+                run_coverage(&cfg, &trace, sys.build(DEGREE).as_mut())
             );
-            let tim_scalar = format!(
-                "{:?}",
-                run_timing_with_batch(&cfg, &trace, sys.build(DEGREE).as_mut(), 0, 1)
-            );
-            let multi_scalar = format!(
-                "{:?}",
-                run_multicore_with_batch(
-                    &one_core,
-                    vec![trace.clone()],
-                    vec![sys.build(DEGREE)],
-                    1
-                )
-            );
-            for batch in [2u32, 3, 64] {
-                let cov = format!(
-                    "{:?}",
-                    run_coverage_with_batch(&cfg, &trace, sys.build(DEGREE).as_mut(), 0, batch)
-                );
+            let tim_whole = format!("{:?}", run_timing(&cfg, &trace, sys.build(DEGREE).as_mut()));
+            for step in [1usize, 2, 3, 64] {
+                let mut p = sys.build(DEGREE);
+                let mut session = CoverageSession::new(&cfg, p.name(), 0);
+                for chunk in trace.chunks(step) {
+                    session.feed(p.as_mut(), chunk);
+                }
                 assert_eq!(
-                    cov_scalar, cov,
-                    "{label} on {name}: coverage diverged at batch {batch}"
+                    cov_whole,
+                    format!("{:?}", session.finish()),
+                    "{label} on {name}: coverage diverged at step {step}"
                 );
-                let tim = format!(
-                    "{:?}",
-                    run_timing_with_batch(&cfg, &trace, sys.build(DEGREE).as_mut(), 0, batch)
-                );
+                let mut source = SliceSource::new(trace.clone().into(), step as u32);
+                let tim = run_timing_streamed(&cfg, &mut source, sys.build(DEGREE).as_mut(), 0)
+                    .expect("slice sources cannot fail");
                 assert_eq!(
-                    tim_scalar, tim,
-                    "{label} on {name}: timing diverged at batch {batch}"
-                );
-                let multi = format!(
-                    "{:?}",
-                    run_multicore_with_batch(
-                        &one_core,
-                        vec![trace.clone()],
-                        vec![sys.build(DEGREE)],
-                        batch
-                    )
-                );
-                assert_eq!(
-                    multi_scalar, multi,
-                    "{label} on {name}: multicore diverged at batch {batch}"
+                    tim_whole,
+                    format!("{tim:?}"),
+                    "{label} on {name}: timing diverged at step {step}"
                 );
             }
         }
@@ -214,19 +188,25 @@ fn empty_trace_reports_zeros() {
 // the validating reader and the streaming file source.
 
 use std::io::Cursor;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use domino_trace::stream::{
     Codec, EventSource, FileSource, TraceFileError, TraceReader, TraceWriter,
 };
 use domino_trace::workload::catalog;
 
+/// Per-process sequence number for temp trace files, so tests running
+/// on concurrent threads never share (and delete) one file.
+static TEMP_SEQ: AtomicU64 = AtomicU64::new(0);
+
 /// A sealed in-memory trace: 100 events in 7-event chunks (the last
 /// chunk short), as raw bytes ready for surgery.
 fn sealed_trace_bytes(codec: Codec) -> Vec<u8> {
     let events: Vec<AccessEvent> = catalog::oltp().generator(0xDE6E).take(100).collect();
     let path = std::env::temp_dir().join(format!(
-        "domino-degenerate-{}-{}.dmno",
+        "domino-degenerate-{}-{}-{}.dmno",
         std::process::id(),
+        TEMP_SEQ.fetch_add(1, Ordering::Relaxed),
         codec.label()
     ));
     let mut writer = TraceWriter::create(&path, 7, codec).expect("create");

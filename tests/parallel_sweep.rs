@@ -13,7 +13,9 @@ use domino_repro::sim::figures::{
     self, bandwidth_utilization, fig01, fig02, fig03, fig04, fig05, fig06, fig09, fig10, fig11,
     fig12, fig13, fig14, fig15, fig16, Scale,
 };
-use domino_repro::sim::{exec, observe};
+use domino_repro::sim::{exec, observe, CoverageSession, System, SystemConfig};
+use domino_repro::telemetry::{Telemetry, TraceMeta};
+use domino_repro::trace::workload::catalog;
 
 /// The jobs override is process-global; tests that set it must not
 /// interleave.
@@ -121,57 +123,74 @@ fn trace_files_are_byte_identical_at_any_job_count() {
 }
 
 #[test]
-fn figures_are_byte_identical_at_any_batch_size() {
-    // The batch override shares process-global state with the jobs
-    // override tests, so it serializes on the same lock.
+fn figures_are_byte_identical_observed_or_not() {
+    // Observation shares process-global state with the jobs override
+    // tests, so it serializes on the same lock.
     let _guard = JOBS_LOCK.lock().expect("unpoisoned");
     let scale = Scale {
         events: 20_000,
         seed: 11,
     };
     exec::set_jobs_override(Some(2));
-    let run = |batch| {
-        observe::set_batch_override(Some(batch));
-        let out = (format!("{}", fig01(&scale)), format!("{}", fig14(&scale)));
-        observe::set_batch_override(None);
-        out
+    let run = || {
+        let mut tables = fig13(&scale);
+        tables.push(fig14(&scale));
+        tables.iter().map(|t| format!("{t}")).collect::<Vec<_>>()
     };
-    let scalar = run(1);
-    for batch in [2, 7, 64] {
-        let batched = run(batch);
-        assert_eq!(
-            scalar, batched,
-            "figure output drifted between batch 1 and batch {batch}"
-        );
-    }
+    let plain = run();
+    observe::set_epoch_override(Some(5_000));
+    observe::set_trace_override(Some(4096));
+    let observed = run();
+    observe::set_epoch_override(None);
+    observe::set_trace_override(None);
     exec::set_jobs_override(None);
+    let reports = observe::drain();
+    let traces = observe::drain_traces();
+    assert!(
+        !reports.is_empty() && !traces.is_empty(),
+        "nothing observed"
+    );
+    assert_eq!(plain, observed, "observing a run changed its figures");
 }
 
 #[test]
-fn telemetry_json_is_byte_identical_at_any_batch_size() {
-    let _guard = JOBS_LOCK.lock().expect("unpoisoned");
-    let scale = Scale {
-        events: 20_000,
-        seed: 11,
-    };
-    let sweep = |batch| {
-        observe::set_batch_override(Some(batch));
-        observe::set_epoch_override(Some(5_000));
-        observe::drain(); // discard anything a previous test left behind
-        let tables = fig13(&scale);
-        let reports = observe::drain();
-        observe::set_batch_override(None);
-        observe::set_epoch_override(None);
-        assert!(!reports.is_empty(), "observed fig13 produced no telemetry");
+fn telemetry_json_is_byte_identical_at_any_step_size() {
+    // A coverage session armed with epoch telemetry and the flight
+    // recorder, fed the same trace whole or in increments, must export
+    // the same telemetry and trace bytes.
+    let trace: Vec<_> = catalog::oltp().generator(11).take(20_000).collect();
+    let cfg = SystemConfig::paper();
+    let run = |step: usize| {
+        let mut tel = Telemetry::with_epoch(997);
+        tel.enable_trace(512);
+        let mut p = System::Domino.build(4);
+        let mut session = CoverageSession::observed(&cfg, p.name(), 5_000, tel);
+        for chunk in trace.chunks(step) {
+            session.feed(p.as_mut(), chunk);
+        }
+        let (report, mut tel) = session.finish_observed(p.as_ref());
+        let recorder = tel.take_tracer().expect("tracer armed");
+        let meta = TraceMeta {
+            workload: "OLTP".into(),
+            component: "Domino".into(),
+            kind: "coverage".into(),
+            events: trace.len() as u64,
+            seed: 11,
+            warmup: 5_000,
+        };
         (
-            tables.iter().map(|t| format!("{t}")).collect::<Vec<_>>(),
-            observe::aggregate_json(&reports),
+            format!("{report:?}"),
+            tel.finish(|_| {}).to_json(),
+            recorder.to_bytes(&meta),
         )
     };
-    let scalar = sweep(1);
-    let batched = sweep(64);
-    assert_eq!(scalar.1, batched.1, "telemetry drifted between batch sizes");
-    assert_eq!(scalar.0, batched.0, "figures drifted with telemetry on");
+    let whole = run(trace.len());
+    for step in [1usize, 7, 64] {
+        let stepped = run(step);
+        assert_eq!(whole.0, stepped.0, "report drifted at step {step}");
+        assert_eq!(whole.1, stepped.1, "telemetry drifted at step {step}");
+        assert!(whole.2 == stepped.2, "trace bytes drifted at step {step}");
+    }
 }
 
 #[test]

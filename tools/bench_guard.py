@@ -6,8 +6,8 @@ Usage: bench_guard.py BASELINE_JSON FRESH_JSON
 
 Both files must be `domino-bench-sweep/4` documents (written by
 `cargo run --release --example figures`). The guard refuses to compare
-runs from different configurations (events per workload or batch size
-mismatch) — a cross-config ratio is meaningless, not merely noisy. It
+runs from different configurations (events per workload mismatch) — a
+cross-config ratio is meaningless, not merely noisy. It
 fails (exit 1) if any figure's replay throughput (`events_per_sec`) in
 the fresh run drops more than the threshold below the committed
 baseline, and applies the same rule to each point of the jobs-scaling
@@ -116,7 +116,7 @@ def check_streaming_invariants(fresh):
 
 def check_same_config(baseline, fresh):
     """Refuse to compare runs whose throughput numbers are incommensurable."""
-    for knob in ("events_per_workload", "batch"):
+    for knob in ("events_per_workload",):
         b, f = baseline.get(knob), fresh.get(knob)
         if b != f:
             sys.exit(

@@ -127,14 +127,15 @@ if [ "${1:-}" != "--fast" ]; then
             >/dev/null
     fi
 
-    mark batched-parity
-    echo "==> batched-vs-scalar parity (DOMINO_SKIP_CHECK=1 to skip)"
+    mark session-partition
+    echo "==> session partition (DOMINO_SKIP_CHECK=1 to skip)"
     if [ "${DOMINO_SKIP_CHECK:-0}" = "1" ]; then
         echo "    skipped (DOMINO_SKIP_CHECK=1)"
     else
-        # Every roster system, every generator family, batch 7 and 64:
-        # the batched SoA engines must be byte-identical to scalar.
-        cargo run --release -q -p domino-check -- --batch-parity \
+        # Every roster system, every generator family: feeding the
+        # engines in 1-, 7-, 64-event or whole-trace increments, cached
+        # or streamed, must be byte-identical to one whole-trace feed.
+        cargo run --release -q -p domino-check -- --session-partition \
             --events 1200 --out check-failures
     fi
 
