@@ -12,7 +12,12 @@
 //! - the metadata service: per roster system, the single-tenant session
 //!   report and decision digest, and the per-tenant finals of a sharded
 //!   multi-tenant run (one unconstrained, one under a shard budget that
-//!   forces evictions).
+//!   forces evictions);
+//! - the binary artifact layouts: the encoded bytes of one fixed
+//!   instance of each on-disk format not already covered above — a
+//!   `DMNOTRC1` trace (raw and Sequitur), a `DMNOMTR1` metrics ring, a
+//!   `DMNOSPN1` span ring and a `DMNOCHK1` reproducer. (`DMNOFLT1` is
+//!   pinned through the observed `trace_*.bin` entries.)
 //!
 //! A refactor that claims to be behaviour-preserving must leave every
 //! digest unchanged. When a change is *meant* to alter behaviour,
@@ -24,15 +29,19 @@
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
+use std::io::Cursor;
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
+use domino_check::repro::Reproducer;
 use domino_repro::sim::figures::{
     bandwidth_utilization, fig01, fig02, fig03, fig04, fig05, fig06, fig09, fig10, fig11, fig12,
     fig13, fig14, fig15, fig16, rivals, table1, table2, Scale,
 };
 use domino_repro::sim::{exec, observe, run_coverage_session, FigureTable, System, SystemConfig};
+use domino_repro::telemetry::{MetricSpec, MetricsRing, SpanRecord, SpanRing, SpanSampler};
 use domino_repro::trace::event::AccessEvent;
+use domino_repro::trace::stream::{Codec, TraceWriter};
 use domino_repro::trace::workload::catalog;
 use domino_service::{BatchRequest, MetadataService, OverloadPolicy, ServiceConfig};
 
@@ -56,6 +65,11 @@ const SERVICE_EVENTS: usize = 3_000;
 const REQUEST: usize = 17;
 /// Tenants per service run.
 const TENANTS: usize = 4;
+
+/// Events of the pinned `DMNOTRC1` trace, and its chunk size (divides
+/// nothing, so the last chunk is short).
+const ARTIFACT_EVENTS: usize = 3_000;
+const ARTIFACT_CHUNK: u32 = 777;
 
 /// The jobs/epoch/trace overrides are process-global.
 static LOCK: Mutex<()> = Mutex::new(());
@@ -265,6 +279,71 @@ fn service_digests(out: &mut Digests) {
     }
 }
 
+/// One fixed instance of each binary artifact format, encoded.
+fn artifact_digests(out: &mut Digests) {
+    let trace: Vec<AccessEvent> = catalog::oltp()
+        .generator(SCALE.seed)
+        .take(ARTIFACT_EVENTS)
+        .collect();
+    for codec in [Codec::Raw, Codec::Sequitur] {
+        let mut sink = Cursor::new(Vec::new());
+        let mut w = TraceWriter::new(&mut sink, ARTIFACT_CHUNK, codec).expect("writer");
+        w.write_events(&trace).expect("write events");
+        w.finish().expect("seal trace");
+        out.insert(
+            format!("artifact/DMNOTRC1.{}", codec.label()),
+            fnv1a(sink.get_ref()),
+        );
+    }
+
+    // Capacity 4, six samples: the ring wraps, so the tail order and
+    // the wrap-independent totals are both pinned.
+    let mut ring = MetricsRing::new(
+        4,
+        vec![
+            MetricSpec::counter("events"),
+            MetricSpec::counter("batches"),
+            MetricSpec::gauge("queue_depth"),
+        ],
+    );
+    for i in 1..=6u64 {
+        ring.sample(i * 100, &[i * i * 37, i * 3, (i * 7) % 5]);
+    }
+    out.insert(
+        "artifact/DMNOMTR1".into(),
+        fnv1a(&ring.to_bytes("shard-1", 256)),
+    );
+
+    let mut spans = SpanRing::new(4);
+    for i in 0..3u64 {
+        let base = 1_000 * i;
+        spans.record(SpanRecord {
+            tenant: i,
+            seq: 17 * i,
+            shard: i as u32 % 2,
+            events: 32,
+            submit_ns: base,
+            enqueue_ns: base + 10,
+            dequeue_ns: base + 50,
+            step_ns: base + 900,
+            reply_ns: base + 950,
+        });
+    }
+    out.insert(
+        "artifact/DMNOSPN1".into(),
+        fnv1a(&spans.to_bytes("shard-0", SpanSampler::new(1, 0xD0))),
+    );
+
+    let repro = Reproducer {
+        system: "Domino".into(),
+        oracle: "cross_engine".into(),
+        generator: "pointer-chase".into(),
+        seed: 0xD0C5,
+        events: trace[..16].to_vec(),
+    };
+    out.insert("artifact/DMNOCHK1".into(), fnv1a(&repro.to_bytes()));
+}
+
 fn render(digests: &Digests) -> String {
     let mut text = String::new();
     for (key, d) in digests {
@@ -334,6 +413,13 @@ fn service_matches_the_golden_fingerprint() {
     check_surface("service/", &got);
 }
 
+#[test]
+fn artifact_layouts_match_the_golden_fingerprint() {
+    let mut got = Digests::new();
+    artifact_digests(&mut got);
+    check_surface("artifact/", &got);
+}
+
 /// Rewrites `tests/golden/fingerprint.txt` from the current tree.
 #[test]
 #[ignore = "regenerates the committed fingerprint; run only on purpose"]
@@ -343,6 +429,7 @@ fn record_golden_fingerprint() {
     sweep_digests(&mut all);
     observed_digests(&mut all);
     service_digests(&mut all);
+    artifact_digests(&mut all);
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden/fingerprint.txt");
     std::fs::write(path, render(&all)).expect("write fingerprint");
 }
