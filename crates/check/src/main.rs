@@ -437,7 +437,7 @@ fn run_force_fail(opts: &Options) -> ExitCode {
     // check the predicate still fires on exactly the same events.
     let decoded = match std::fs::read(&path)
         .map_err(|e| e.to_string())
-        .and_then(|b| Reproducer::from_bytes(&b))
+        .and_then(|b| Reproducer::from_bytes(&b).map_err(|e| e.to_string()))
     {
         Ok(r) => r,
         Err(e) => {

@@ -33,6 +33,7 @@
 
 pub mod addr;
 pub mod event;
+pub mod frame;
 pub mod hash;
 pub mod io;
 pub mod reuse;
@@ -43,6 +44,7 @@ pub mod workload;
 
 pub use addr::{Addr, LineAddr, Pc, LINE_BYTES};
 pub use event::{AccessEvent, AccessKind};
+pub use frame::FrameError;
 pub use hash::{FxBuildHasher, FxHashMap, FxHashSet, FxHasher};
 pub use reuse::ReuseProfile;
 pub use rng::SimRng;

@@ -184,9 +184,12 @@ impl FileSource {
         // scheduling hiccup on either side does not stall the other.
         let (full_tx, full_rx): (SyncSender<Delivery>, _) = sync_channel(2);
         let (recycle_tx, recycle_rx) = channel::<Vec<AccessEvent>>();
+        // No chunk holds more than the whole trace: a header whose
+        // chunk size dwarfs its event count must not size the buffers.
+        let largest_chunk = u64::from(chunk_events).min(total) as usize;
         for _ in 0..3 {
             recycle_tx
-                .send(Vec::with_capacity(chunk_events as usize))
+                .send(Vec::with_capacity(largest_chunk))
                 .expect("receiver alive");
         }
         let thread_peak = Arc::clone(&peak);

@@ -383,3 +383,164 @@ fn file_source_propagates_malformed_files_without_panicking() {
     assert!(saw_error, "corrupted payload streamed cleanly");
     std::fs::remove_file(&path).ok();
 }
+
+// ---------------------------------------------------------------------
+// Every binary artifact kind under exhaustive mutation: each truncation
+// and each single-bit flip of a small instance must decode to `Ok` or a
+// typed error. A panic — or an allocation sized by a corrupt count —
+// fails the sweep.
+
+use std::panic::{catch_unwind, AssertUnwindSafe};
+
+use domino_check::Reproducer;
+use domino_telemetry::span::{SpanFile, SpanRecord, SpanRing, SpanSampler};
+use domino_telemetry::timeseries::{MetricSpec, MetricsRing, RingFile};
+use domino_telemetry::trace::{FlightRecorder, TraceFile, TraceMeta};
+use domino_trace::stream::source::collect_source;
+
+/// A sealed in-memory `DMNOTRC1` image of `events` in `chunk`-event chunks.
+fn trace_image(events: &[AccessEvent], chunk: u32, codec: Codec) -> Vec<u8> {
+    let mut sink = Cursor::new(Vec::new());
+    let mut writer = TraceWriter::new(&mut sink, chunk, codec).expect("writer");
+    writer.write_events(events).expect("write");
+    writer.finish().expect("finish");
+    sink.into_inner()
+}
+
+/// Decodes a `DMNOTRC1` image through the validating reader and through
+/// the read-ahead file source. A source that ends early without an
+/// error would hide a panic on its decode thread, so that is a failure
+/// too.
+fn decode_trace(bytes: &[u8]) -> Result<(), String> {
+    let read = TraceReader::new(Cursor::new(bytes.to_vec())).and_then(|mut r| r.read_all());
+    let reader = TraceReader::new(Cursor::new(bytes.to_vec())).map_err(|e| e.to_string())?;
+    let mut source = FileSource::from_reader(reader);
+    let streamed = collect_source(&mut source).map_err(|e| e.to_string())?;
+    assert_eq!(
+        streamed.len() as u64,
+        source.total_events(),
+        "file source ended early without an error"
+    );
+    read.map(drop).map_err(|e| e.to_string())
+}
+
+fn decode_flight(bytes: &[u8]) -> Result<(), String> {
+    TraceFile::from_bytes(bytes)
+        .map_err(|e| e.to_string())?
+        .verify()
+}
+
+fn decode_metrics(bytes: &[u8]) -> Result<(), String> {
+    RingFile::from_bytes(bytes)
+        .map_err(|e| e.to_string())?
+        .verify()
+}
+
+fn decode_spans(bytes: &[u8]) -> Result<(), String> {
+    SpanFile::from_bytes(bytes)
+        .map_err(|e| e.to_string())?
+        .verify()
+}
+
+fn decode_repro(bytes: &[u8]) -> Result<(), String> {
+    Reproducer::from_bytes(bytes)
+        .map(drop)
+        .map_err(|e| e.to_string())
+}
+
+/// One small, valid instance of each artifact kind, with its decoder.
+type Decode = fn(&[u8]) -> Result<(), String>;
+
+fn artifact_instances() -> Vec<(&'static str, Vec<u8>, Decode)> {
+    let events: Vec<AccessEvent> = catalog::oltp().generator(0xF1A9).take(5).collect();
+
+    let mut recorder = FlightRecorder::new(8);
+    recorder.issue(1, 7, Some(0), 1);
+    recorder.fill(2, 7, Some(0), 9);
+    recorder.demand_hit(10, 7, Some(0), 8);
+    recorder.demand_miss(11, 12, false);
+    let meta = TraceMeta {
+        workload: "w".into(),
+        component: "c".into(),
+        kind: "k".into(),
+        events: 4,
+        seed: 1,
+        warmup: 0,
+    };
+
+    let mut ring = MetricsRing::new(2, vec![MetricSpec::counter("n"), MetricSpec::gauge("q")]);
+    ring.sample(5, &[3, 1]);
+
+    let mut spans = SpanRing::new(2);
+    spans.record(SpanRecord {
+        tenant: 1,
+        seq: 0,
+        shard: 0,
+        events: 4,
+        submit_ns: 1,
+        enqueue_ns: 2,
+        dequeue_ns: 3,
+        step_ns: 4,
+        reply_ns: 5,
+    });
+
+    let repro = Reproducer {
+        system: "Domino".into(),
+        oracle: "o".into(),
+        generator: "g".into(),
+        seed: 3,
+        events: events[..2].to_vec(),
+    };
+
+    vec![
+        (
+            "DMNOTRC1 raw",
+            trace_image(&events[..1], 1, Codec::Raw),
+            decode_trace,
+        ),
+        (
+            "DMNOTRC1 sequitur",
+            trace_image(&events[..4], 3, Codec::Sequitur),
+            decode_trace,
+        ),
+        ("DMNOFLT1", recorder.to_bytes(&meta), decode_flight),
+        ("DMNOMTR1", ring.to_bytes("m", 0), decode_metrics),
+        (
+            "DMNOSPN1",
+            spans.to_bytes("s", SpanSampler::new(1, 0)),
+            decode_spans,
+        ),
+        ("DMNOCHK1", repro.to_bytes(), decode_repro),
+    ]
+}
+
+#[test]
+fn every_artifact_kind_survives_every_truncation_and_bit_flip() {
+    let mut panicked = Vec::new();
+    for (kind, good, decode) in artifact_instances() {
+        if let Err(e) = decode(&good) {
+            panic!("{kind}: the unmutated instance fails to decode: {e}");
+        }
+        let mut mutants: Vec<(String, Vec<u8>)> = (0..good.len())
+            .map(|cut| (format!("cut at {cut}"), good[..cut].to_vec()))
+            .collect();
+        for byte in 0..good.len() {
+            for bit in 0..8 {
+                let mut m = good.clone();
+                m[byte] ^= 1 << bit;
+                mutants.push((format!("byte {byte} bit {bit}"), m));
+            }
+        }
+        for (what, bytes) in mutants {
+            if catch_unwind(AssertUnwindSafe(|| decode(&bytes).is_ok())).is_err() {
+                panicked.push(format!("{kind}: {what}"));
+            }
+        }
+    }
+    assert!(
+        panicked.is_empty(),
+        "{} malformed inputs panicked instead of returning an error:\n  {}",
+        panicked.len(),
+        panicked.join("\n  ")
+    );
+}
