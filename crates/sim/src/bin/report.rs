@@ -186,7 +186,7 @@ fn delta_table(r: &RunReport) -> FigureTable {
     }
     let mut t = FigureTable::new(
         format!(
-            "{} / {} [{}] — per-epoch deltas (epoch {} accesses, events {}, warmup {})",
+            "{} / {} [{}] — per-epoch deltas (epoch {} L1 misses, events {}, warmup {})",
             r.workload, r.component, r.kind, r.epoch_accesses, r.events, r.warmup
         ),
         "epoch",

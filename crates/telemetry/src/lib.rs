@@ -13,7 +13,7 @@
 //!   distance, metadata round-trip latency, MSHR occupancy). Buckets are
 //!   registered once per run; recording is a bounds scan over a small
 //!   static array;
-//! * **epoch series** — every `epoch` accesses the engine snapshots its
+//! * **epoch series** — every `epoch` L1 misses the engine snapshots its
 //!   cumulative counters into a row, yielding a per-run time series of
 //!   coverage / accuracy / traffic per component.
 //!
@@ -130,7 +130,7 @@ impl Telemetry {
         }
     }
 
-    /// An enabled handle snapshotting every `epoch` accesses.
+    /// An enabled handle snapshotting every `epoch` ticks (L1 misses).
     ///
     /// # Panics
     ///
@@ -207,7 +207,7 @@ impl Telemetry {
         self.epoch_len > 0
     }
 
-    /// The epoch length in accesses (0 when off).
+    /// The epoch length in ticks, i.e. L1 misses (0 when off).
     pub fn epoch_len(&self) -> u64 {
         self.epoch_len
     }
@@ -232,7 +232,8 @@ impl Telemetry {
         }
     }
 
-    /// Counts one access; returns `true` when an epoch boundary was just
+    /// Counts one epoch tick — both engines tick once per L1 miss, not
+    /// per access; returns `true` when an epoch boundary was just
     /// crossed and the caller should [`Telemetry::snapshot`].
     #[inline]
     pub fn tick(&mut self) -> bool {
@@ -278,7 +279,7 @@ impl Telemetry {
         self.epochs.push(row);
     }
 
-    /// Flushes a final partial epoch if any accesses arrived since the
+    /// Flushes a final partial epoch if any ticks arrived since the
     /// last boundary (so non-divisible trace lengths lose nothing), or an
     /// initial row when no boundary was ever crossed. Engines call this
     /// once at the end of a run, while they still hold the components the

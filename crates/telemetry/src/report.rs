@@ -33,7 +33,8 @@ pub struct RunReport {
     /// Warmup prefix in accesses (included in the series; excluded from
     /// the engine's headline metrics).
     pub warmup: u64,
-    /// Epoch length in accesses.
+    /// Epoch length in L1 misses: the engines tick the epoch clock once
+    /// per L1 miss. (The `domino-telemetry/1` key keeps its older name.)
     pub epoch_accesses: u64,
     /// Column names of the epoch rows.
     pub fields: Vec<String>,

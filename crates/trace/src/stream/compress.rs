@@ -25,6 +25,7 @@ use std::collections::HashMap;
 use domino_sequitur::{ExportSym, Sequitur};
 
 use crate::event::AccessEvent;
+use crate::frame::{FrameError, Reader, Writer};
 use crate::stream::format::{decode_record, encode_record, TraceFileError, RECORD_BYTES};
 
 const RULE_BIT: u32 = 0x8000_0000;
@@ -47,45 +48,26 @@ pub(crate) fn encode_chunk(events: &[AccessEvent]) -> Vec<u8> {
     let grammar = Sequitur::from_sequence(ids);
     let rules = grammar.export_rules();
 
-    let mut out = Vec::new();
-    out.extend_from_slice(&(dict.len() as u32).to_le_bytes());
+    let mut out = Writer::default();
+    out.u32(dict.len() as u32);
     for ev in &dict {
         encode_record(ev, &mut rec);
-        out.extend_from_slice(&rec);
+        out.bytes(&rec);
     }
-    out.extend_from_slice(&(rules.len() as u32).to_le_bytes());
+    out.u32(rules.len() as u32);
     for body in &rules {
-        out.extend_from_slice(&(body.len() as u32).to_le_bytes());
+        out.u32(body.len() as u32);
         for sym in body {
-            let word = match *sym {
+            out.u32(match *sym {
                 ExportSym::Term(id) => {
                     debug_assert!(id < u64::from(RULE_BIT), "dict ids fit 31 bits");
                     id as u32
                 }
                 ExportSym::Rule(idx) => RULE_BIT | idx,
-            };
-            out.extend_from_slice(&word.to_le_bytes());
+            });
         }
     }
-    out
-}
-
-fn read_u32(
-    bytes: &[u8],
-    pos: &mut usize,
-    chunk: usize,
-    what: &str,
-) -> Result<u32, TraceFileError> {
-    let end = *pos + 4;
-    if end > bytes.len() {
-        return Err(TraceFileError::BadGrammar {
-            chunk,
-            detail: format!("payload truncated reading {what}"),
-        });
-    }
-    let v = u32::from_le_bytes(bytes[*pos..end].try_into().expect("4 bytes"));
-    *pos = end;
-    Ok(v)
+    out.into_bytes()
 }
 
 /// Decodes one chunk payload, returning the events plus the codec's
@@ -96,25 +78,22 @@ pub(crate) fn decode_chunk(
     expected_events: u32,
     chunk: usize,
 ) -> Result<(Vec<AccessEvent>, u64), TraceFileError> {
-    let mut pos = 0usize;
-    let dict_len = read_u32(bytes, &mut pos, chunk, "dictionary length")? as usize;
-    if dict_len > expected_events as usize {
+    let bad = |e: FrameError| TraceFileError::BadGrammar {
+        chunk,
+        detail: e.to_string(),
+    };
+    let mut r = Reader::new(bytes);
+    let dict_len = r.u32().map_err(bad)?;
+    if dict_len > expected_events {
         return Err(TraceFileError::BadGrammar {
             chunk,
             detail: format!("dictionary of {dict_len} entries exceeds {expected_events} events"),
         });
     }
-    let dict_end = pos + dict_len * RECORD_BYTES;
-    if dict_end > bytes.len() {
-        return Err(TraceFileError::BadGrammar {
-            chunk,
-            detail: "payload truncated inside dictionary".into(),
-        });
-    }
+    let dict_len = r.records(dict_len.into(), RECORD_BYTES).map_err(bad)?;
     let mut dict = Vec::with_capacity(dict_len);
-    for (i, rec) in bytes[pos..dict_end].chunks_exact(RECORD_BYTES).enumerate() {
-        let rec: &[u8; RECORD_BYTES] = rec.try_into().expect("exact chunks");
-        match decode_record(rec) {
+    for i in 0..dict_len {
+        match decode_record(r.array().map_err(bad)?) {
             Ok(ev) => dict.push(ev),
             Err(detail) => {
                 return Err(TraceFileError::BadRecord {
@@ -124,48 +103,38 @@ pub(crate) fn decode_chunk(
             }
         }
     }
-    pos = dict_end;
 
-    let rule_len = read_u32(bytes, &mut pos, chunk, "rule count")? as usize;
+    let rule_len = r.u32().map_err(bad)?;
     if rule_len == 0 {
         return Err(TraceFileError::BadGrammar {
             chunk,
             detail: "no rules (start rule required)".into(),
         });
     }
-    // Remaining bytes bound the total symbol count, so a hostile rule_len
-    // cannot force a huge allocation.
-    if rule_len > bytes.len().saturating_sub(pos) / 4 + 1 {
-        return Err(TraceFileError::BadGrammar {
-            chunk,
-            detail: format!("rule count {rule_len} exceeds payload size"),
-        });
-    }
+    // Every rule holds at least its length word, so the remaining bytes
+    // bound the rule count and a hostile one cannot force a huge
+    // allocation; likewise each body's symbol count.
+    let rule_len = r.records(rule_len.into(), 4).map_err(bad)?;
     let mut rules: Vec<Vec<u32>> = Vec::with_capacity(rule_len);
     let mut total_syms = 0u64;
-    for r in 0..rule_len {
-        let sym_len = read_u32(bytes, &mut pos, chunk, "rule body length")? as usize;
-        if sym_len > bytes.len().saturating_sub(pos) / 4 {
-            return Err(TraceFileError::BadGrammar {
-                chunk,
-                detail: format!("rule {r} body of {sym_len} symbols exceeds payload size"),
-            });
-        }
+    for rule in 0..rule_len {
+        let sym_len = r.u32().map_err(bad)?;
+        let sym_len = r.records(sym_len.into(), 4).map_err(bad)?;
         let mut body = Vec::with_capacity(sym_len);
         for _ in 0..sym_len {
-            let word = read_u32(bytes, &mut pos, chunk, "symbol")?;
+            let word = r.u32().map_err(bad)?;
             if word & RULE_BIT != 0 {
                 let idx = word & !RULE_BIT;
                 if idx as usize >= rule_len || idx == 0 {
                     return Err(TraceFileError::BadGrammar {
                         chunk,
-                        detail: format!("rule {r} references invalid rule {idx}"),
+                        detail: format!("rule {rule} references invalid rule {idx}"),
                     });
                 }
             } else if word as usize >= dict_len {
                 return Err(TraceFileError::BadGrammar {
                     chunk,
-                    detail: format!("rule {r} references dictionary id {word} >= {dict_len}"),
+                    detail: format!("rule {rule} references dictionary id {word} >= {dict_len}"),
                 });
             }
             body.push(word);
@@ -173,12 +142,7 @@ pub(crate) fn decode_chunk(
         total_syms += sym_len as u64;
         rules.push(body);
     }
-    if pos != bytes.len() {
-        return Err(TraceFileError::BadGrammar {
-            chunk,
-            detail: format!("{} trailing bytes after the grammar", bytes.len() - pos),
-        });
-    }
+    r.finish().map_err(bad)?;
 
     // Expand the start rule with an explicit stack. Sequitur grammars are
     // acyclic, but these bytes may not be from Sequitur: cap both the

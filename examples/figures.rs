@@ -8,7 +8,7 @@
 //! cargo run --release --example figures -- 100000           # events/workload
 //! cargo run --release --example figures -- 100000 out_dir   # + SVG & CSV files
 //! cargo run --release --example figures -- --jobs 8         # worker threads
-//! cargo run --release --example figures -- --epoch 50000    # per-epoch telemetry
+//! cargo run --release --example figures -- --epoch 50000    # telemetry every 50k L1 misses
 //! cargo run --release --example figures -- --trace 65536    # flight recorder
 //! ```
 //!
@@ -35,7 +35,8 @@
 //! Pangloss, Triangel).
 //!
 //! With `--epoch N` (or the `DOMINO_EPOCH` environment variable) the
-//! roster figures additionally record per-epoch telemetry — one
+//! roster figures additionally record per-epoch telemetry, one epoch
+//! every `N` L1 misses — one
 //! schema-versioned `telemetry_*.json` per (workload, prefetcher, kind)
 //! cell plus a `TELEMETRY_sweep.json` aggregate next to
 //! `BENCH_sweep.json` — rendered by `cargo run -p domino-sim --bin
@@ -247,7 +248,7 @@ fn main() {
             let n: u64 = args
                 .next()
                 .and_then(|s| s.parse().ok())
-                .expect("--epoch needs a positive integer");
+                .expect("--epoch needs a positive integer (L1 misses per epoch)");
             observe::set_epoch_override(Some(n));
         } else if arg == "--trace" {
             let n: u64 = args

@@ -125,6 +125,20 @@ if [ "${1:-}" != "--fast" ]; then
         # forced reproducer is disposable, so it goes to the tmp dir).
         cargo run --release -q -p domino-check -- --force-fail --out "$check_dir" \
             >/dev/null
+        # Decode that DMNOCHK1 file through the CLI: --replay must exit
+        # nonzero with its "reproduced" verdict, not a decode error.
+        forced=$(ls "$check_dir"/forced_duplicate_line_*.events)
+        if cargo run --release -q -p domino-check -- --replay "$forced" \
+            >"$check_dir/replay.out" 2>&1; then
+            echo "    ERROR: --replay of the forced reproducer exited zero"
+            exit 1
+        fi
+        if ! grep -q "^reproduced: " "$check_dir/replay.out"; then
+            cat "$check_dir/replay.out"
+            echo "    ERROR: --replay failed without reproducing"
+            exit 1
+        fi
+        echo "    forced reproducer replayed through --replay (reproduced, exit nonzero)"
     fi
 
     mark session-partition

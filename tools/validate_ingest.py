@@ -26,6 +26,8 @@ import struct
 import sys
 from pathlib import Path
 
+from dmno import fail, fnv1a
+
 MAGIC = b"DMNOTRC1"
 VERSION = 1
 RECORD_BYTES = 24
@@ -33,20 +35,7 @@ HEADER_BYTES = 40
 INDEX_ENTRY_BYTES = 32
 CODEC_RAW, CODEC_SEQUITUR = 0, 1
 
-FNV_BASIS = 0xCBF2_9CE4_8422_2325
-FNV_PRIME = 0x0000_0100_0000_01B3
-MASK64 = (1 << 64) - 1
 RULE_BIT = 0x8000_0000
-
-
-def fail(path, msg):
-    sys.exit(f"validate_ingest: {path}: {msg}")
-
-
-def fnv1a(data, h=FNV_BASIS):
-    for b in data:
-        h = ((h ^ b) * FNV_PRIME) & MASK64
-    return h
 
 
 def check_record(rec, where):

@@ -27,23 +27,14 @@ can gate on it.
 """
 
 import json
-import struct
 import sys
 from pathlib import Path
+
+from dmno import U64_MAX, Cursor, fail, is_u64
 
 SCHEMA = "domino-obs/1"
 RING_MAGIC = b"DMNOMTR1"
 SPAN_MAGIC = b"DMNOSPN1"
-U64_MAX = 2**64 - 1
-MASK = U64_MAX
-
-
-def fail(path, msg):
-    sys.exit(f"validate_obs: {path}: {msg}")
-
-
-def is_u64(v):
-    return isinstance(v, int) and not isinstance(v, bool) and 0 <= v <= U64_MAX
 
 
 def sampled(rate, seed, tenant, seq):
@@ -53,43 +44,13 @@ def sampled(rate, seed, tenant, seq):
         return False
     if rate == 1:
         return True
-    x = (seed + tenant * 0x9E3779B97F4A7C15 + seq * 0xBF58476D1CE4E5B9) & MASK
+    x = (seed + tenant * 0x9E3779B97F4A7C15 + seq * 0xBF58476D1CE4E5B9) & U64_MAX
     x ^= x >> 30
-    x = (x * 0xBF58476D1CE4E5B9) & MASK
+    x = (x * 0xBF58476D1CE4E5B9) & U64_MAX
     x ^= x >> 27
-    x = (x * 0x94D049BB133111EB) & MASK
+    x = (x * 0x94D049BB133111EB) & U64_MAX
     x ^= x >> 31
     return x % rate == 0
-
-
-class Cursor:
-    def __init__(self, path, data):
-        self.path = path
-        self.data = data
-        self.pos = 0
-
-    def take(self, n):
-        if self.pos + n > len(self.data):
-            fail(self.path, f"truncated: need {n} bytes at offset {self.pos}")
-        out = self.data[self.pos : self.pos + n]
-        self.pos += n
-        return out
-
-    def u8(self):
-        return self.take(1)[0]
-
-    def u32(self):
-        return struct.unpack("<I", self.take(4))[0]
-
-    def u64(self):
-        return struct.unpack("<Q", self.take(8))[0]
-
-    def string(self):
-        return self.take(self.u32()).decode("utf-8")
-
-    def done(self):
-        if self.pos != len(self.data):
-            fail(self.path, f"{len(self.data) - self.pos} trailing bytes")
 
 
 def parse_ring(path):
@@ -158,9 +119,8 @@ def parse_spans(path):
     if count != min(recorded, capacity):
         fail(path, f"stored {count} spans, want min(recorded={recorded}, cap={capacity})")
     for i in range(count):
-        tenant, seq = struct.unpack("<QQ", c.take(16))
-        shard, events = struct.unpack("<II", c.take(8))
-        stamps = struct.unpack("<5Q", c.take(40))
+        tenant, seq, _shard, events = c.unpack("QQII")
+        stamps = c.unpack("5Q")
         if events == 0:
             fail(path, f"span {i}: empty batch")
         if any(b < a for a, b in zip(stamps, stamps[1:])):

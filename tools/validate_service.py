@@ -16,8 +16,9 @@ import json
 import sys
 from pathlib import Path
 
+from dmno import fail, is_u64
+
 SCHEMA = "domino-service/1"
-U64_MAX = 2**64 - 1
 
 RUN_U64_FIELDS = (
     "tenants",
@@ -49,14 +50,6 @@ SHARD_U64_FIELDS = (
     "busy_ns",
     "wall_ns",
 )
-
-
-def fail(path, msg):
-    sys.exit(f"validate_service: {path}: {msg}")
-
-
-def is_u64(v):
-    return isinstance(v, int) and not isinstance(v, bool) and 0 <= v <= U64_MAX
 
 
 def check_latency(path, obj, where):

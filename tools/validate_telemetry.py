@@ -13,16 +13,10 @@ import json
 import sys
 from pathlib import Path
 
+from dmno import fail, is_u64
+
 REPORT_SCHEMA = "domino-telemetry/1"
 SWEEP_SCHEMA = "domino-telemetry-sweep/1"
-
-
-def fail(path, msg):
-    sys.exit(f"validate_telemetry: {path}: {msg}")
-
-
-def is_u64(v):
-    return isinstance(v, int) and not isinstance(v, bool) and 0 <= v < 2**64
 
 
 def check_report(path, r):

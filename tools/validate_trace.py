@@ -16,9 +16,10 @@ the Rust writer and this checker fails CI. Checks per file:
     events reproduces the header attribution exactly.
 """
 
-import struct
 import sys
 from pathlib import Path
+
+from dmno import Cursor, fail
 
 MAGIC = b"DMNOFLT1"
 VERSION = 1
@@ -34,89 +35,54 @@ CAUSE_EVICTED, CAUSE_DROPPED, CAUSE_MISPREDICTED = 3, 4, 5
 BUCKETS = ("covered", "late", "evicted_unused", "dropped", "mispredicted", "no_metadata")
 
 
-def fail(path, msg):
-    sys.exit(f"validate_trace: {path}: {msg}")
-
-
-class Cursor:
-    def __init__(self, b):
-        self.b = b
-        self.pos = 0
-
-    def take(self, n):
-        if self.pos + n > len(self.b):
-            raise ValueError(
-                f"truncated: need {n} bytes at offset {self.pos}, "
-                f"have {len(self.b) - self.pos}"
-            )
-        s = self.b[self.pos : self.pos + n]
-        self.pos += n
-        return s
-
-    def u32(self):
-        return struct.unpack("<I", self.take(4))[0]
-
-    def u64(self):
-        return struct.unpack("<Q", self.take(8))[0]
-
-    def string(self):
-        return self.take(self.u32()).decode("utf-8")
-
-
 def check_trace(path):
-    b = path.read_bytes()
-    c = Cursor(b)
-    try:
-        if c.take(8) != MAGIC:
-            fail(path, "bad magic: not a domino flight-recorder trace")
-        version = c.u32()
-        if version != VERSION:
-            fail(path, f"unsupported trace version {version}")
-        c.u32()  # reserved
-        labels = {k: c.string() for k in ("workload", "component", "kind")}
-        for k, v in labels.items():
-            if not v:
-                fail(path, f"empty {k} label")
-        c.u64(), c.u64(), c.u64()  # events, seed, warmup
-        capacity = c.u64()
-        recorded = c.u64()
-        demand_misses = c.u64()
-        header = {name: c.u64() for name in BUCKETS}
-        count = c.u64()
-        if len(b) - c.pos != count * RECORD_BYTES:
-            fail(
-                path,
-                f"header says {count} records but {len(b) - c.pos} payload "
-                f"bytes remain ({count * RECORD_BYTES} expected)",
-            )
-        replay = dict.fromkeys(BUCKETS, 0)
-        replay_misses = 0
-        for i in range(count):
-            kind, cause, _pad, _stream, _time, _line, _aux = struct.unpack(
-                "<BBHIQQQ", c.take(RECORD_BYTES)
-            )
-            if kind not in KINDS:
-                fail(path, f"record {i}: unknown event kind {kind}")
-            if cause not in CAUSES:
-                fail(path, f"record {i}: unknown loss cause {cause}")
-            if kind == DEMAND_HIT:
-                replay_misses += 1
-                replay["covered"] += 1
-            elif kind == LATE_ARRIVAL:
-                replay_misses += 1
-                replay["late"] += 1
-            elif kind == DEMAND_MISS:
-                replay_misses += 1
-                if cause == CAUSE_EVICTED:
-                    replay["evicted_unused"] += 1
-                elif cause == CAUSE_DROPPED:
-                    replay["dropped"] += 1
-                elif cause == CAUSE_MISPREDICTED:
-                    replay["mispredicted"] += 1
-                else:
-                    replay["no_metadata"] += 1
-    except ValueError as e:
-        fail(path, str(e))
+    c = Cursor(path, path.read_bytes())
+    if c.take(8) != MAGIC:
+        fail(path, "bad magic: not a domino flight-recorder trace")
+    version = c.u32()
+    if version != VERSION:
+        fail(path, f"unsupported trace version {version}")
+    c.u32()  # reserved
+    labels = {k: c.string() for k in ("workload", "component", "kind")}
+    for k, v in labels.items():
+        if not v:
+            fail(path, f"empty {k} label")
+    c.u64(), c.u64(), c.u64()  # events, seed, warmup
+    capacity = c.u64()
+    recorded = c.u64()
+    demand_misses = c.u64()
+    header = {name: c.u64() for name in BUCKETS}
+    count = c.u64()
+    if c.remaining() != count * RECORD_BYTES:
+        fail(
+            path,
+            f"header says {count} records but {c.remaining()} payload "
+            f"bytes remain ({count * RECORD_BYTES} expected)",
+        )
+    replay = dict.fromkeys(BUCKETS, 0)
+    replay_misses = 0
+    for i in range(count):
+        kind, cause, _pad, _stream, _time, _line, _aux = c.unpack("BBHIQQQ")
+        if kind not in KINDS:
+            fail(path, f"record {i}: unknown event kind {kind}")
+        if cause not in CAUSES:
+            fail(path, f"record {i}: unknown loss cause {cause}")
+        if kind == DEMAND_HIT:
+            replay_misses += 1
+            replay["covered"] += 1
+        elif kind == LATE_ARRIVAL:
+            replay_misses += 1
+            replay["late"] += 1
+        elif kind == DEMAND_MISS:
+            replay_misses += 1
+            if cause == CAUSE_EVICTED:
+                replay["evicted_unused"] += 1
+            elif cause == CAUSE_DROPPED:
+                replay["dropped"] += 1
+            elif cause == CAUSE_MISPREDICTED:
+                replay["mispredicted"] += 1
+            else:
+                replay["no_metadata"] += 1
     if sum(header.values()) != demand_misses:
         fail(
             path,
